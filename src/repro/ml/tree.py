@@ -6,11 +6,23 @@ cost the paper measures — feature evaluation is *expensive relative to
 feature generation* — while remaining fast enough that hundreds of
 cross-validated evaluations finish on a laptop:
 
-* Splits are exact (sort-based): at each node, every candidate feature is
-  sorted once and the impurity of every possible threshold is computed in
-  one vectorized pass using prefix sums.
+* Splits are exact (sort-based) and batched per node: the node gathers
+  the ``n_candidates x n_rows`` block of the columns it drew (from a
+  transposed copy of X made once per fit), sorts every column in one
+  ``argsort(axis=1)``, and scores every threshold of every column in one
+  vectorized pass over row-wise prefix sums.  A node costs the same few
+  dozen numpy calls whatever its candidate count, so the small nodes that
+  dominate a forest no longer pay that fixed overhead once per column.
+* The batch is bit-identical to scanning the columns one at a time:
+  stable sorts are unique; ``cumsum(axis=1)`` adds each column
+  sequentially, as the 1-D scan did; Gini prefix counts are
+  integer-valued, so their sums of squares are exact in any order; every
+  other step is the same elementwise expression; and the winner is the
+  first drawn column with the strictly largest positive gain, which is
+  what ``argmax`` returns.
 * Prediction routes all rows through the tree level by level with boolean
-  masks instead of per-row Python recursion.
+  masks instead of per-row Python recursion, then reads every row's leaf
+  value from one stacked table.
 
 Both trees accept ``max_features`` so the forest can do per-node feature
 subsampling, and an externally supplied seed so runs are reproducible.
@@ -66,18 +78,51 @@ class _BaseTree(BaseEstimator):
         self._threshold: list[float] = []
         self._left: list[int] = []
         self._right: list[int] = []
-        self._value: list[np.ndarray] = []
+        # One row per node; a list while growing, stacked by ``fit``.
+        self._value: list[np.ndarray] | np.ndarray = []
         self.n_features_: int | None = None
 
     # -- subclass hooks -------------------------------------------------
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _best_split_of_feature(
-        self, column: np.ndarray, y: np.ndarray
-    ) -> tuple[float, float]:
-        """Return ``(gain, threshold)`` of the best split for one column."""
+    def _boundary_gains(self, ranked: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Impurity gain of every boundary ``lo <= i < hi`` of every column.
+
+        ``ranked[j]`` holds the node's targets in the sorted order of
+        column ``j``; boundary ``i`` sends the first ``i + 1`` of them
+        left.  Returns a ``n_candidates x (hi - lo)`` array.
+        """
         raise NotImplementedError
+
+    def _best_splits(
+        self, block: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Best ``(gains, thresholds)`` of every column of ``block``.
+
+        ``block`` is the node's ``n_candidates x n_rows`` slice of X.T
+        and ``y`` its targets, with ``n_rows >= 2 * min_samples_leaf``.
+        A column without a realizable split scores ``(0.0, 0.0)``.
+        """
+        n = block.shape[1]
+        order = block.argsort(axis=1, kind="stable")
+        ranked = y[order]
+        # Offset each row's sort order to flat positions in block.ravel().
+        order += np.arange(0, block.size, n)[:, None]
+        values = block.ravel()[order]
+        lo, hi = self.min_samples_leaf - 1, n - self.min_samples_leaf
+        gain = self._boundary_gains(ranked, lo, hi)
+        # A split between equal values is not realizable.
+        gain[values[:, lo + 1 : hi + 1] <= values[:, lo:hi]] = -np.inf
+        best = gain.argmax(axis=1)
+        each = np.arange(len(gain))
+        gains = gain[each, best]
+        best += lo
+        thresholds = (values[each, best] + values[each, best + 1]) / 2.0
+        unsplittable = gains == -np.inf
+        gains[unsplittable] = 0.0
+        thresholds[unsplittable] = 0.0
+        return gains, thresholds
 
     # -- growth ----------------------------------------------------------
     def _new_node(self) -> int:
@@ -94,6 +139,7 @@ class _BaseTree(BaseEstimator):
         self.n_features_ = X.shape[1]
         rng = np.random.default_rng(self.seed)
         n_candidates = _resolve_max_features(self.max_features, X.shape[1])
+        columns = np.ascontiguousarray(X.T)
         root = self._new_node()
         # Depth-first explicit stack: (node_id, row_indices, depth).
         stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(len(y)), 0)]
@@ -108,16 +154,19 @@ class _BaseTree(BaseEstimator):
             ):
                 continue
             candidates = rng.choice(X.shape[1], size=n_candidates, replace=False)
-            best_gain, best_feature, best_threshold = 0.0, _LEAF, 0.0
-            for feature in candidates:
-                gain, threshold = self._best_split_of_feature(
-                    X[rows, feature], labels
-                )
-                if gain > best_gain:
-                    best_gain, best_feature, best_threshold = gain, feature, threshold
-            if best_feature == _LEAF:
+            # No boundary leaves min_samples_leaf rows on both sides.  The
+            # draw above still happens, so the RNG stream stays the same.
+            if len(rows) < 2 * self.min_samples_leaf:
                 continue
-            goes_left = X[rows, best_feature] <= best_threshold
+            block = columns[candidates[:, None], rows]
+            gains, thresholds = self._best_splits(block, labels)
+            # The first drawn column with the strictly largest gain wins,
+            # and only a positive gain splits.
+            best = int(gains.argmax())
+            if not gains[best] > 0.0:
+                continue
+            best_feature, best_threshold = candidates[best], thresholds[best]
+            goes_left = block[best] <= best_threshold
             left_rows, right_rows = rows[goes_left], rows[~goes_left]
             if (
                 len(left_rows) < self.min_samples_leaf
@@ -131,9 +180,10 @@ class _BaseTree(BaseEstimator):
             self._left[node], self._right[node] = left, right
             stack.append((left, left_rows, depth + 1))
             stack.append((right, right_rows, depth + 1))
+        self._value = np.vstack(self._value)
 
     def _is_pure(self, y: np.ndarray) -> bool:
-        return bool(np.all(y == y[0]))
+        return bool((y == y[0]).all())
 
     # -- prediction --------------------------------------------------------
     def _leaf_of_rows(self, X: np.ndarray) -> np.ndarray:
@@ -197,43 +247,30 @@ class DecisionTreeClassifier(_BaseTree):
         counts = np.bincount(y.astype(np.int64), minlength=self._n_classes)
         return counts / counts.sum()
 
-    def _best_split_of_feature(
-        self, column: np.ndarray, y: np.ndarray
-    ) -> tuple[float, float]:
-        order = np.argsort(column, kind="stable")
-        values = column[order]
-        labels = y[order].astype(np.int64)
-        n = len(values)
-        if values[0] == values[-1]:
-            return 0.0, 0.0
-        # Prefix class counts: counts[i, c] = #{labels[:i] == c}.
-        one_hot = np.zeros((n, self._n_classes))
-        one_hot[np.arange(n), labels] = 1.0
-        prefix = np.cumsum(one_hot, axis=0)
-        total = prefix[-1]
-        # Split after position i (1..n-1): left = first i rows.
-        left_counts = prefix[:-1]
-        right_counts = total - left_counts
-        left_n = np.arange(1, n, dtype=np.float64)
+    def _boundary_gains(self, ranked: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        n = ranked.shape[1]
+        total = np.bincount(ranked[0], minlength=self._n_classes).astype(np.float64)
+        left_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         right_n = n - left_n
-        left_gini = 1.0 - np.sum(left_counts**2, axis=1) / left_n**2
-        right_gini = 1.0 - np.sum(right_counts**2, axis=1) / right_n**2
-        parent_gini = 1.0 - np.sum((total / n) ** 2)
-        gain = parent_gini - (left_n * left_gini + right_n * right_gini) / n
-        # A split between equal values is not realizable.
-        valid = values[1:] > values[:-1]
-        valid &= left_n >= self.min_samples_leaf
-        valid &= right_n >= self.min_samples_leaf
-        if not valid.any():
-            return 0.0, 0.0
-        gain = np.where(valid, gain, -np.inf)
-        best = int(np.argmax(gain))
-        threshold = (values[best] + values[best + 1]) / 2.0
-        return float(gain[best]), float(threshold)
+        # Sums of squared per-class prefix counts; class 0 holds the rows
+        # the other classes leave.  The counts are integer-valued floats,
+        # so every sum is exact in any order and equals the one-hot
+        # prefix sum's.
+        left_rest, left_sq, right_sq = left_n, 0.0, 0.0
+        for c in range(1, self._n_classes):
+            left_counts = (ranked == c).cumsum(axis=1, dtype=np.float64)[:, lo:hi]
+            left_rest = left_rest - left_counts
+            left_sq = left_sq + left_counts**2
+            right_sq = right_sq + (total[c] - left_counts) ** 2
+        left_sq = left_sq + left_rest**2
+        right_sq = right_sq + (total[0] - left_rest) ** 2
+        left_gini = 1.0 - left_sq / left_n**2
+        right_gini = 1.0 - right_sq / right_n**2
+        parent_gini = 1.0 - ((total / n) ** 2).sum()
+        return parent_gini - (left_n * left_gini + right_n * right_gini) / n
 
     def predict_proba(self, X) -> np.ndarray:
-        leaves = self._leaf_of_rows(X)
-        return np.vstack([self._value[node] for node in leaves])
+        return self._value[self._leaf_of_rows(X)]
 
     def predict(self, X) -> np.ndarray:
         probabilities = self.predict_proba(X)
@@ -249,44 +286,36 @@ class DecisionTreeRegressor(_BaseTree):
         return self
 
     def _is_pure(self, y: np.ndarray) -> bool:
-        return bool(np.ptp(y) < 1e-12)
+        return bool(y.max() - y.min() < 1e-12)
 
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
         return np.array([y.mean()])
 
-    def _best_split_of_feature(
-        self, column: np.ndarray, y: np.ndarray
-    ) -> tuple[float, float]:
-        order = np.argsort(column, kind="stable")
-        values = column[order]
-        target = y[order]
-        n = len(values)
-        if values[0] == values[-1]:
-            return 0.0, 0.0
-        prefix_sum = np.cumsum(target)
-        prefix_sq = np.cumsum(target**2)
-        total_sum, total_sq = prefix_sum[-1], prefix_sq[-1]
-        left_n = np.arange(1, n, dtype=np.float64)
+    def _boundary_gains(self, ranked: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        n = ranked.shape[1]
+        prefix_sum = ranked.cumsum(axis=1)
+        prefix_sq = (ranked**2).cumsum(axis=1)
+        total_sum, total_sq = prefix_sum[:, -1:], prefix_sq[:, -1:]
+        left_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         right_n = n - left_n
-        left_sum = prefix_sum[:-1]
+        left_sum = prefix_sum[:, lo:hi]
         right_sum = total_sum - left_sum
-        left_sq = prefix_sq[:-1]
+        left_sq = prefix_sq[:, lo:hi]
         right_sq = total_sq - left_sq
         # SSE of each side: sum(y^2) - (sum(y))^2 / n.
         left_sse = left_sq - left_sum**2 / left_n
         right_sse = right_sq - right_sum**2 / right_n
         parent_sse = total_sq - total_sum**2 / n
-        gain = (parent_sse - left_sse - right_sse) / n
-        valid = values[1:] > values[:-1]
-        valid &= left_n >= self.min_samples_leaf
-        valid &= right_n >= self.min_samples_leaf
-        if not valid.any():
-            return 0.0, 0.0
-        gain = np.where(valid, gain, -np.inf)
-        best = int(np.argmax(gain))
-        threshold = (values[best] + values[best + 1]) / 2.0
-        return float(max(gain[best], 0.0)), float(threshold)
+        return (parent_sse - left_sse - right_sse) / n
+
+    def _best_splits(
+        self, block: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        gains, thresholds = super()._best_splits(block, y)
+        # Rounding can leave a gain just below 0; a NaN gain (targets so
+        # large their squares overflow) can never win a split either.
+        gains[~(gains >= 0.0)] = 0.0
+        return gains, thresholds
 
     def predict(self, X) -> np.ndarray:
-        leaves = self._leaf_of_rows(X)
-        return np.array([self._value[node][0] for node in leaves])
+        return self._value[self._leaf_of_rows(X), 0]
