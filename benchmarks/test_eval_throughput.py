@@ -10,11 +10,10 @@ evaluations-avoided; these micro-benchmarks measure both levers of the
 * ``test_backend_throughput`` — dispatch cost on a *cold-cache
   multi-sweep* workload (every candidate distinct, the base matrix
   absorbing an accepted feature every few sweeps, as a real stage-2
-  run does): the per-batch ``process`` backend re-pays pool startup
-  and base-matrix pickling every sweep, the persistent shared-memory
-  ``pool`` backend pays them once, and the ``pool_speculative``
-  variant additionally pipelines each sweep's generation work and
-  submission behind the previous sweep's in-flight fits, exactly as
+  run does): the in-process ``serial`` backend, the persistent
+  shared-memory ``pool`` backend, and the ``pool_speculative``
+  variant, which additionally pipelines each sweep's generation work
+  and submission behind the previous sweep's in-flight fits, exactly as
   the engine's cross-agent speculation does (committing when the base
   survives, discarding at acceptance boundaries — the waste is
   reported through the speculation counters).  Records
@@ -50,8 +49,7 @@ N_REPEATS = 4
 N_SWEEPS = 24
 SWEEP_CANDIDATES = 4
 ACCEPT_EVERY = 8
-#: Same explicit worker count for every parallel backend — the
-#: comparison is purely per-batch startup vs persistent dispatch.
+#: Explicit worker count for every pool arm.
 N_WORKERS = 4
 
 
@@ -246,7 +244,7 @@ def _measure_pool_speculative(task, sweeps) -> dict:
         "n_speculative_discarded": stats.n_speculative_discarded,
         "n_drained_evictions": stats.n_drained_evictions,
         "pool_workers": stats.pool_workers,
-        "peak_inflight": stats.peak_inflight,
+        "pool_peak_inflight": stats.pool_peak_inflight,
         "pool_occupancy": stats.pool_occupancy,
         "scored_per_sec": submissions / max(elapsed, 1e-9),
         "scores": scores,
@@ -317,8 +315,8 @@ def _measure_fidelity_arm(spec, task, base, sweeps) -> dict:
         "elapsed_s": elapsed,
         "n_submissions": submissions,
         "n_real_fits": service.evaluator.n_evaluations,
-        "n_cache_hits": stats.n_hits,
-        "n_cache_misses": stats.n_misses,
+        "n_cache_hits": stats.n_cache_hits,
+        "n_cache_misses": stats.n_cache_misses,
         "n_lowfi_scored": stats.n_lowfi_scored,
         "n_promoted": stats.n_promoted,
         "n_surrogate_served": stats.n_surrogate_served,
@@ -356,7 +354,7 @@ def backend_throughput() -> dict:
     task, sweeps = _sweep_workload()
     measured = {
         backend: _measure_backend(backend, task, sweeps)
-        for backend in ("serial", "process", "pool")
+        for backend in ("serial", "pool")
     }
     measured["pool_speculative"] = _measure_pool_speculative(task, sweeps)
     report = {
@@ -372,21 +370,12 @@ def backend_throughput() -> dict:
             name: {k: v for k, v in result.items() if k != "scores"}
             for name, result in measured.items()
         },
-        "pool_vs_process_speedup": (
-            measured["pool"]["scored_per_sec"]
-            / max(measured["process"]["scored_per_sec"], 1e-9)
-        ),
-        "pool_speculative_vs_process_speedup": (
-            measured["pool_speculative"]["scored_per_sec"]
-            / max(measured["process"]["scored_per_sec"], 1e-9)
-        ),
         "pool_speculative_vs_pool_speedup": (
             measured["pool_speculative"]["scored_per_sec"]
             / max(measured["pool"]["scored_per_sec"], 1e-9)
         ),
         "identical_scores": (
             measured["serial"]["scores"]
-            == measured["process"]["scores"]
             == measured["pool"]["scores"]
             == measured["pool_speculative"]["scores"]
         ),
@@ -400,11 +389,7 @@ def backend_throughput() -> dict:
 
 #: Throughput-ratio gates: (report key, bar).  Checked together by the
 #: retry-once guard and asserted by the test.
-_RATIO_GATES = (
-    ("pool_vs_process_speedup", 2.0),
-    ("pool_speculative_vs_process_speedup", 4.0),
-    ("fidelity_vs_full_speedup", 1.5),
-)
+_RATIO_GATES = (("fidelity_vs_full_speedup", 1.5),)
 
 
 def _gates_pass(report: dict) -> bool:
@@ -477,10 +462,8 @@ def test_backend_throughput(benchmark):
     assert report["fidelity_regret"] <= FIDELITY_REGRET_BOUND, (
         report["fidelity_regret"]
     )
-    # ... and the persistent pool must beat the per-batch pool by the
-    # issue's bar — startup and base-matrix pickling paid once, not per
-    # sweep — while the ladder must beat full CV on the same pool by
-    # 1.5x with regret bounded above.
+    # ... and the ladder must beat full CV on the same pool by 1.5x
+    # with regret bounded above.
     for key, bar in _RATIO_GATES:
         assert report[key] >= bar, (key, report[key])
 
@@ -511,10 +494,10 @@ def test_chaos_hooks_zero_cost_when_disabled(benchmark):
     Every hot path above (store puts, pool fits, queue claims) now
     carries a ``maybe_fault`` call.  The throughput gates in
     ``test_backend_throughput`` already run with chaos *imported* —
-    the pool arm clearing its speedup bars is the end-to-end proof —
-    but this pins the micro-cost too: the disabled fast path is one
-    module attribute load plus an ``is None`` test, bounded here at
-    well under a microsecond per call.
+    the pool-backed ladder arm clearing its speedup bar is the
+    end-to-end proof — but this pins the micro-cost too: the disabled
+    fast path is one module attribute load plus an ``is None`` test,
+    bounded here at well under a microsecond per call.
     """
     from repro import chaos
     from repro.chaos import maybe_fault

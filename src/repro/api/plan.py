@@ -1,10 +1,10 @@
 """FeaturePlan: the portable artifact a feature search produces.
 
 The search→production handoff used to be a loose pile — an
-:class:`~repro.core.engine.AFEResult` for scores, a
-``FeatureTransformer`` for inference, ``save_fpe`` for the filter
-model.  :class:`FeaturePlan` bundles everything deployment needs into
-one versioned JSON document:
+:class:`~repro.core.engine.AFEResult` for scores, a bare list of
+expression names for inference, ``save_fpe`` for the filter model.
+:class:`FeaturePlan` bundles everything deployment needs into one
+versioned JSON document:
 
 * the selected feature expressions (canonical names, compiled once
   into expression trees);

@@ -58,6 +58,7 @@ class AutoFSR(AFEEngine):
             base_score=base_score,
             best_score=base_score,
             selected_features=list(working.X.columns),
+            stats=service.stats,
         )
         current_score = base_score
         best_score = base_score
@@ -98,8 +99,6 @@ class AutoFSR(AFEEngine):
         result.selected_features = best_features
         result.n_downstream_evaluations = evaluator.n_evaluations
         result.evaluation_time = evaluator.total_eval_time
-        result.n_cache_hits = service.n_cache_hits
-        result.n_cache_misses = service.n_cache_misses
         name_to_column = {
             feature.name: feature.values
             for group in space.subgroups

@@ -145,6 +145,7 @@ class ExploreKit:
             best_score=base_score,
             selected_features=list(current_names),
             n_generated=len(candidates),
+            stats=service.stats,
         )
         current_token = service.token(current)
         for step, (name, values) in enumerate(
@@ -176,10 +177,6 @@ class ExploreKit:
         result.selected_matrix = current
         result.n_downstream_evaluations = evaluator.n_evaluations
         result.evaluation_time = evaluator.total_eval_time
-        result.n_cache_hits = service.n_cache_hits
-        result.n_cache_misses = service.n_cache_misses
-        result.n_backend_fallbacks = service.stats.n_backend_fallbacks
-        result.absorb_fidelity_stats(service.stats)
         result.wall_time = time.perf_counter() - started
         service.close()  # releases a pool backend's workers, if any
         return result

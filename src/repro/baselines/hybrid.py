@@ -89,8 +89,7 @@ class FeThenDl:
             selected_features=fe_result.selected_features,
             history=[EpochRecord(0, elapsed, fe_result.n_downstream_evaluations + 1, score)],
             n_downstream_evaluations=fe_result.n_downstream_evaluations + 1,
-            n_cache_hits=fe_result.n_cache_hits,
-            n_cache_misses=fe_result.n_cache_misses,
+            stats=fe_result.stats,
             wall_time=elapsed,
         )
 
@@ -143,7 +142,7 @@ class DlThenFe:
                 selected = candidate
         elapsed = time.perf_counter() - started
         service.close()  # releases a pool backend's workers, if any
-        result = AFEResult(
+        return AFEResult(
             dataset=task.name,
             method=self.method_name,
             task=task.task,
@@ -154,10 +153,6 @@ class DlThenFe:
                 EpochRecord(0, elapsed, evaluator.n_evaluations, best_score)
             ],
             n_downstream_evaluations=evaluator.n_evaluations,
-            n_cache_hits=service.n_cache_hits,
-            n_cache_misses=service.n_cache_misses,
-            n_backend_fallbacks=service.stats.n_backend_fallbacks,
+            stats=service.stats,
             wall_time=elapsed,
         )
-        result.absorb_fidelity_stats(service.stats)
-        return result

@@ -156,7 +156,7 @@ class LFE:
         best_score = max(base_score, final_score)
         elapsed = time.perf_counter() - started
         service.close()  # releases a pool backend's workers, if any
-        result = AFEResult(
+        return AFEResult(
             dataset=task.name,
             method=self.method_name,
             task=task.task,
@@ -168,12 +168,8 @@ class LFE:
             ],
             n_downstream_evaluations=evaluator.n_evaluations,
             n_generated=n_generated,
-            n_cache_hits=service.n_cache_hits,
-            n_cache_misses=service.n_cache_misses,
-            n_backend_fallbacks=service.stats.n_backend_fallbacks,
+            stats=service.stats,
             evaluation_time=evaluator.total_eval_time,
             selected_matrix=augmented if final_score >= base_score else matrix,
             wall_time=elapsed,
         )
-        result.absorb_fidelity_stats(service.stats)
-        return result

@@ -54,6 +54,7 @@ class RandomAFE(AFEEngine):
             base_score=base_score,
             best_score=base_score,
             selected_features=best_features,
+            stats=service.stats,
         )
         for epoch in range(self.config.n_epochs):
             for agent_index in range(space.n_agents):
@@ -87,7 +88,5 @@ class RandomAFE(AFEEngine):
         result.selected_features = best_features
         result.n_downstream_evaluations = evaluator.n_evaluations
         result.evaluation_time = evaluator.total_eval_time
-        result.n_cache_hits = service.n_cache_hits
-        result.n_cache_misses = service.n_cache_misses
         result.wall_time = time.perf_counter() - started
         return result

@@ -124,6 +124,7 @@ class TransformationGraph:
             base_score=base_score,
             best_score=base_score,
             selected_features=list(working.X.columns),
+            stats=service.stats,
         )
 
         steps = self.config.n_epochs * self.config.transforms_per_agent
@@ -194,10 +195,6 @@ class TransformationGraph:
         result.selected_matrix = graph.nodes[best_node]["matrix"]
         result.n_downstream_evaluations = evaluator.n_evaluations
         result.evaluation_time = evaluator.total_eval_time
-        result.n_cache_hits = service.n_cache_hits
-        result.n_cache_misses = service.n_cache_misses
-        result.n_backend_fallbacks = service.stats.n_backend_fallbacks
-        result.absorb_fidelity_stats(service.stats)
         result.wall_time = time.perf_counter() - started
         service.close()  # releases a pool backend's workers, if any
         # Expose the traversal structure for inspection/tests.

@@ -257,8 +257,8 @@ def table4_eval_counts(
 
     Counts candidate submissions (real fits + cache hits); comparable
     to the paper's Table IV under the default serial backend (the
-    speculative ``process`` backend re-scores abandoned sweep
-    remainders, inflating counts without changing scores).
+    ``pool`` backend scores abandoned sweep remainders ahead of need,
+    inflating counts without changing scores).
     """
     methods = ("AutoFSR", "NFS", "E-AFE_D", "E-AFE")
     config = bench_config(seed=seed)

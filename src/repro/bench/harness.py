@@ -10,14 +10,14 @@ identical across experiments.  Two scale profiles exist:
   only for manual runs with hours of budget.
 
 Set ``REPRO_BENCH_PROFILE=paper`` to switch.  ``REPRO_EVAL_BACKEND``
-(``serial``/``process``/``pool``) selects the candidate-scoring
-backend of the :mod:`repro.eval` service for every method built by
-the harness (``REPRO_EVAL_WORKERS`` sizes the parallel ones), and
+(``serial``/``pool``) selects the candidate-scoring backend of the
+:mod:`repro.eval` service for every method built by the harness
+(``REPRO_EVAL_WORKERS`` sizes the pool), and
 ``REPRO_EVAL_CACHE=0`` disables score memoization.
 ``REPRO_EVAL_SPECULATION=0`` turns off the pool backend's cross-agent
-sweep speculation (on by default; a no-op for the other backends).
-Scores are identical across backends, but the ``process`` and ``pool``
-backends prefetch sweeps speculatively, so evaluation-*count* tables
+sweep speculation (on by default; a no-op on ``serial``).
+Scores are identical across backends, but the ``pool`` backend
+prefetches sweeps speculatively, so evaluation-*count* tables
 (Table IV, Figure 9) are paper-comparable only under the default
 ``serial`` backend.  ``REPRO_EVAL_FIDELITY`` (default ``off``) sets
 the multi-fidelity spec — e.g. ``ladder+surrogate`` — and *does*

@@ -7,7 +7,6 @@ from .fpe import FeatureLabel, FPEModel, label_features, tune_fpe
 from .groupwise import GroupwiseEAFE, GroupwiseFeatureSpace, cluster_features
 from .persistence import fpe_from_dict, fpe_to_dict, load_fpe, save_fpe
 from .pretrain import default_fpe, make_evaluator_factory, pretrain_fpe
-from .transformer import FeatureTransformer
 from .rewards import FPERewardTracker, fpe_pseudo_score
 from .variants import VARIANT_NAMES, make_variant
 
@@ -38,7 +37,6 @@ __all__ = [
     "load_fpe",
     "fpe_to_dict",
     "fpe_from_dict",
-    "FeatureTransformer",
     "GroupwiseEAFE",
     "GroupwiseFeatureSpace",
     "cluster_features",

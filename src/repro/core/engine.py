@@ -22,12 +22,17 @@ downstream call is counted, which is what Table IV tabulates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from ..datasets.generators import TabularTask
-from ..eval import BACKENDS, EvaluationService, validate_eval_workers
+from ..eval import (
+    BACKENDS,
+    EvalStats,
+    EvaluationService,
+    validate_eval_workers,
+)
 from ..store import make_eval_backend
 from ..ml.forest import RandomForestClassifier, RandomForestRegressor
 from ..rl.buffer import ReplayBuffer, Transition
@@ -63,10 +68,9 @@ class EngineConfig:
     per_step_rewards: bool = True  # False = NFS-style epoch-final credit
     patience: int | None = None  # early stop after N epochs w/o improvement
     eval_cache: bool = True  # memoize downstream scores by fingerprint
-    eval_backend: str = "serial"  # scoring backend: "serial"|"process"|"pool"
-    eval_workers: int | None = None  # parallel-backend worker count
-    # (None: "process" caps at min(4, cpus), the persistent "pool"
-    # uses every core; REPRO_EVAL_WORKERS overrides either default)
+    eval_backend: str = "serial"  # scoring backend: "serial"|"pool"
+    eval_workers: int | None = None  # pool worker count
+    # (None: every core; REPRO_EVAL_WORKERS overrides the default)
     eval_store_path: str | None = None  # durable shared score store
     # (SQLite file; None falls back to the REPRO_EVAL_STORE env var,
     # and an unset env var means a per-process in-memory cache)
@@ -131,7 +135,13 @@ class EpochRecord:
 
 @dataclass
 class AFEResult:
-    """Outcome of one AFE run on one dataset."""
+    """Outcome of one AFE run on one dataset.
+
+    ``stats`` is the run's :class:`~repro.eval.EvalStats` record, the
+    one home of every scoring counter; each of its fields also reads
+    and writes as a flat attribute (``result.n_cache_hits``,
+    ``result.n_timeouts``, ...).
+    """
 
     dataset: str
     method: str
@@ -143,26 +153,14 @@ class AFEResult:
     n_downstream_evaluations: int = 0
     n_generated: int = 0
     n_filtered_out: int = 0
-    n_cache_hits: int = 0  # candidate scores served from the eval cache
-    n_cache_misses: int = 0  # candidate scores that paid a real CV fit
-    n_backend_fallbacks: int = 0  # parallel-backend failures scored serially
-    n_timeouts: int = 0  # pool fits cancelled at the eval_timeout deadline
-    n_speculative_submitted: int = 0  # candidates scored ahead of need
-    n_speculative_used: int = 0  # speculated candidates that became the sweep
-    n_speculative_discarded: int = 0  # speculated work invalidated by accepts
-    n_drained_evictions: int = 0  # drained speculative scores dropped (FIFO)
-    pool_workers: int = 0  # persistent-pool size (0: other backends)
-    pool_peak_inflight: int = 0  # max simultaneously submitted pool tasks
-    n_lowfi_scored: int = 0  # candidates scored at rung 0 of the ladder
-    n_promoted: int = 0  # rung-0 candidates promoted to full CV
-    n_surrogate_served: int = 0  # candidates served with no fit at all
-    n_surrogate_fallbacks: int = 0  # uncertain buckets that paid real CV
-    n_audited: int = 0  # approximate results audited at full CV
-    fidelity_regret: float = 0.0  # mean |full - reported| over audits
+    stats: EvalStats = field(default_factory=EvalStats)
     wall_time: float = 0.0
     generation_time: float = 0.0  # time inside feature generation (Table I)
     evaluation_time: float = 0.0  # time inside downstream CV (Table I)
     selected_matrix: np.ndarray | None = None  # cached features (Table V)
+    #: A stored mean regret that ``stats`` cannot reproduce (set by
+    #: :meth:`from_dict`; see there).
+    _stored_regret: float | None = field(default=None, init=False, repr=False)
 
     @property
     def improvement(self) -> float:
@@ -172,43 +170,29 @@ class AFEResult:
     @property
     def cache_hit_rate(self) -> float:
         """Share of candidate scores served without a downstream fit."""
-        lookups = self.n_cache_hits + self.n_cache_misses
-        return self.n_cache_hits / lookups if lookups else 0.0
+        return self.stats.hit_rate
 
     @property
     def pool_occupancy(self) -> float:
-        """Peak in-flight tasks as a fraction of pool workers.
+        """Peak in-flight pool tasks per worker (0.0 without a pool)."""
+        return self.stats.pool_occupancy
 
-        Above 1.0 means the submission pipeline kept a backlog behind
-        the workers (the speculative sweep is doing its job); 0.0 when
-        the run never used the pool backend.
-        """
-        return (
-            self.pool_peak_inflight / self.pool_workers
-            if self.pool_workers
-            else 0.0
-        )
-
-    def absorb_fidelity_stats(self, stats) -> None:
-        """Copy the multi-fidelity counter family off an ``EvalStats``.
-
-        One helper so the engine and every baseline that scores through
-        :meth:`EvaluationService.from_config` report the ladder /
-        surrogate / audit accounting identically.
-        """
-        self.n_lowfi_scored = stats.n_lowfi_scored
-        self.n_promoted = stats.n_promoted
-        self.n_surrogate_served = stats.n_surrogate_served
-        self.n_surrogate_fallbacks = stats.n_surrogate_fallbacks
-        self.n_audited = stats.n_audited
-        self.fidelity_regret = stats.fidelity_regret
+    @property
+    def fidelity_regret(self) -> float:
+        """Mean |full-CV − reported| over audited approximate results."""
+        if self._stored_regret is not None:
+            return self._stored_regret
+        return self.stats.fidelity_regret
 
     def to_dict(self, include_matrix: bool = False) -> dict:
         """JSON-serializable summary of the run.
 
-        The cached feature matrix is omitted unless requested (it can
-        be large; persist it via :class:`~repro.frame.Frame` CSV or
-        recompute with a FeatureTransformer).
+        Every ``stats`` counter is emitted as a flat key, next to the
+        derived ``fidelity_regret``, ``pool_occupancy`` and
+        ``cache_hit_rate``.  The cached feature matrix is omitted unless
+        requested (it can be large; persist it via
+        :class:`~repro.frame.Frame` CSV or recompute it with a
+        :class:`~repro.api.FeaturePlan`).
         """
         payload = {
             "dataset": self.dataset,
@@ -221,36 +205,14 @@ class AFEResult:
             "n_downstream_evaluations": self.n_downstream_evaluations,
             "n_generated": self.n_generated,
             "n_filtered_out": self.n_filtered_out,
-            "n_cache_hits": self.n_cache_hits,
-            "n_cache_misses": self.n_cache_misses,
-            "n_backend_fallbacks": self.n_backend_fallbacks,
-            "n_timeouts": self.n_timeouts,
-            "n_speculative_submitted": self.n_speculative_submitted,
-            "n_speculative_used": self.n_speculative_used,
-            "n_speculative_discarded": self.n_speculative_discarded,
-            "n_drained_evictions": self.n_drained_evictions,
-            "pool_workers": self.pool_workers,
-            "pool_peak_inflight": self.pool_peak_inflight,
-            "n_lowfi_scored": self.n_lowfi_scored,
-            "n_promoted": self.n_promoted,
-            "n_surrogate_served": self.n_surrogate_served,
-            "n_surrogate_fallbacks": self.n_surrogate_fallbacks,
-            "n_audited": self.n_audited,
+            **asdict(self.stats),
             "fidelity_regret": self.fidelity_regret,
             "pool_occupancy": self.pool_occupancy,
             "cache_hit_rate": self.cache_hit_rate,
             "wall_time": self.wall_time,
             "generation_time": self.generation_time,
             "evaluation_time": self.evaluation_time,
-            "history": [
-                {
-                    "epoch": record.epoch,
-                    "elapsed": record.elapsed,
-                    "n_evaluations": record.n_evaluations,
-                    "best_score": record.best_score,
-                }
-                for record in self.history
-            ],
+            "history": [asdict(record) for record in self.history],
         }
         if include_matrix and self.selected_matrix is not None:
             payload["selected_matrix"] = self.selected_matrix.tolist()
@@ -262,8 +224,22 @@ class AFEResult:
 
         This is how the bench run store replays completed cells on
         resume.  Python's JSON float round-trip is exact, so a restored
-        result is bit-identical to the one that was stored.
+        result is bit-identical to the one that was stored.  Counters
+        missing from the payload (older RunStores) restore as zero.
+        Payloads written before ``fidelity_regret_total`` was stored
+        carry only the mean; no float total divides back to every mean
+        exactly, so the stored mean is kept as is.
         """
+        stats = EvalStats(**{
+            f.name: payload[f.name]
+            for f in fields(EvalStats)
+            if f.name in payload
+        })
+        if "fidelity_regret_total" not in payload:
+            stats.fidelity_regret_total = (
+                payload.get("fidelity_regret", 0.0) * stats.n_audited
+            )
+        regret = payload.get("fidelity_regret", stats.fidelity_regret)
         result = cls(
             dataset=payload["dataset"],
             method=payload["method"],
@@ -272,42 +248,36 @@ class AFEResult:
             best_score=payload["best_score"],
             selected_features=list(payload["selected_features"]),
             history=[
-                EpochRecord(
-                    epoch=entry["epoch"],
-                    elapsed=entry["elapsed"],
-                    n_evaluations=entry["n_evaluations"],
-                    best_score=entry["best_score"],
-                )
-                for entry in payload.get("history", [])
+                EpochRecord(**entry) for entry in payload.get("history", [])
             ],
             n_downstream_evaluations=payload.get("n_downstream_evaluations", 0),
             n_generated=payload.get("n_generated", 0),
             n_filtered_out=payload.get("n_filtered_out", 0),
-            n_cache_hits=payload.get("n_cache_hits", 0),
-            n_cache_misses=payload.get("n_cache_misses", 0),
-            n_backend_fallbacks=payload.get("n_backend_fallbacks", 0),
-            n_timeouts=payload.get("n_timeouts", 0),
-            n_speculative_submitted=payload.get("n_speculative_submitted", 0),
-            n_speculative_used=payload.get("n_speculative_used", 0),
-            n_speculative_discarded=payload.get("n_speculative_discarded", 0),
-            n_drained_evictions=payload.get("n_drained_evictions", 0),
-            pool_workers=payload.get("pool_workers", 0),
-            pool_peak_inflight=payload.get("pool_peak_inflight", 0),
-            n_lowfi_scored=payload.get("n_lowfi_scored", 0),
-            n_promoted=payload.get("n_promoted", 0),
-            n_surrogate_served=payload.get("n_surrogate_served", 0),
-            n_surrogate_fallbacks=payload.get("n_surrogate_fallbacks", 0),
-            n_audited=payload.get("n_audited", 0),
-            fidelity_regret=payload.get("fidelity_regret", 0.0),
+            stats=stats,
             wall_time=payload.get("wall_time", 0.0),
             generation_time=payload.get("generation_time", 0.0),
             evaluation_time=payload.get("evaluation_time", 0.0),
         )
+        if regret != stats.fidelity_regret:
+            result._stored_regret = regret
         if payload.get("selected_matrix") is not None:
             result.selected_matrix = np.asarray(
                 payload["selected_matrix"], dtype=np.float64
             )
         return result
+
+
+def _stats_alias(name: str) -> property:
+    return property(
+        lambda self: getattr(self.stats, name),
+        lambda self, value: setattr(self.stats, name, value),
+        doc=f"Flat alias of ``stats.{name}``.",
+    )
+
+
+for _field in fields(EvalStats):
+    setattr(AFEResult, _field.name, _stats_alias(_field.name))
+del _field
 
 
 @dataclass
@@ -662,8 +632,8 @@ class AFEEngine:
                 queue = queue[accepted_at + 1 :]
         epochs_without_improvement = 0
         # Cross-agent speculation: only worthwhile on the persistent
-        # pool (serial futures are lazy, the process backend prefetches
-        # eagerly — speculating there is pure waste), and only across
+        # pool (serial futures are lazy — speculating there is pure
+        # waste), and only across
         # agents *within* an epoch (the REINFORCE update and episode
         # reset at the epoch boundary are not speculated through).
         # Mutually exclusive with the fidelity ladder: a fidelity
@@ -834,6 +804,7 @@ class AFEEngine:
                 base_score=base_score,
                 best_score=base_score,
                 selected_features=list(working.X.columns),
+                stats=service.stats,
             )
             buffer = ReplayBuffer(capacity=self.config.replay_capacity)
             if self.config.two_stage:
@@ -844,23 +815,12 @@ class AFEEngine:
             )
         finally:
             # Releases the persistent worker pool and its shared-memory
-            # segments (a no-op for the serial/process backends) and
-            # flushes buffered score writes — straggler fits land in
-            # the evaluator's counters before they are read below.
+            # segments (a no-op for the serial backend) and flushes
+            # buffered score writes — straggler fits land in the
+            # evaluator's counters before they are read below.
             service.close()
         result.n_downstream_evaluations = evaluator.n_evaluations
         result.evaluation_time = evaluator.total_eval_time
-        result.n_cache_hits = service.n_cache_hits
-        result.n_cache_misses = service.n_cache_misses
-        result.n_backend_fallbacks = service.stats.n_backend_fallbacks
-        result.n_timeouts = service.stats.n_timeouts
-        result.n_speculative_submitted = service.stats.n_speculative_submitted
-        result.n_speculative_used = service.stats.n_speculative_used
-        result.n_speculative_discarded = service.stats.n_speculative_discarded
-        result.n_drained_evictions = service.stats.n_drained_evictions
-        result.pool_workers = service.stats.pool_workers
-        result.pool_peak_inflight = service.stats.peak_inflight
-        result.absorb_fidelity_stats(service.stats)
         result.wall_time = time.perf_counter() - started
         return result
 

@@ -2,18 +2,18 @@
 
 Every downstream evaluation in the library flows through this layer.
 :class:`EvaluationService` memoizes scores by candidate fingerprint,
-reuses CV fold plans, and batches sweeps through three bit-identical
-backends: ``serial`` (lazy, in-process), ``process`` (a fresh pool
-per batch), and ``pool`` (a persistent shared-memory
-:class:`PoolExecutor` whose workers receive base matrices via
+reuses CV fold plans, and batches sweeps through two bit-identical
+backends: ``serial`` (lazy, in-process) and ``pool`` (a persistent
+shared-memory :class:`PoolExecutor` whose workers receive base
+matrices via
 ``multiprocessing.shared_memory`` and pipeline fits behind
 :meth:`EvaluationService.iter_scores_async`).
 :class:`FeatureMatrixArena` turns per-candidate matrix construction
 into an O(n) buffer write.  The un-cached primitive
 (:class:`repro.core.evaluation.DownstreamEvaluator`) stays the unit of
 accounting: its counters always mean *real* downstream fits, and
-``EvalStats.n_backend_fallbacks`` records every time a parallel
-backend degraded to serial scoring.
+``EvalStats.n_backend_fallbacks`` records every time the pool
+degraded to serial scoring.
 
 Score stores are pluggable: ``EvaluationCache`` is now an alias for
 :class:`repro.store.MemoryBackend`, and :func:`repro.store.

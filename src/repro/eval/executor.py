@@ -1,8 +1,8 @@
 """Persistent shared-memory worker pool for candidate scoring.
 
-The ``process`` backend pays process startup and base-matrix pickling
-on *every* ``score_batch`` call.  :class:`PoolExecutor` pays them once:
-workers are forked when the executor is built, construct their
+:class:`PoolExecutor` pays process startup and base-matrix transfer
+once, not per ``score_batch`` call: workers are forked when the
+executor is built, construct their
 :class:`~repro.core.evaluation.DownstreamEvaluator` once, and receive
 base matrices through :mod:`multiprocessing.shared_memory` segments
 published once per base-matrix token (:mod:`repro.eval.shm`) — so a
@@ -128,9 +128,8 @@ def validate_eval_workers(value, name: str = "eval_workers") -> int | None:
 def resolve_pool_workers(explicit: int | None) -> int:
     """Pool size: explicit config, else ``REPRO_EVAL_WORKERS``, else all CPUs.
 
-    Unlike the ``process`` backend's historical ``min(4, cpu_count)``
-    cap, a persistent pool amortizes startup, so it defaults to every
-    core.  An invalid explicit value (zero, negative, non-integer)
+    A persistent pool amortizes startup, so it defaults to every core.
+    An invalid explicit value (zero, negative, non-integer)
     raises instead of silently falling through to the defaults.
     """
     explicit = validate_eval_workers(explicit)

@@ -35,9 +35,9 @@ _services: "weakref.WeakSet[EvaluationService]" = weakref.WeakSet()
 
 #: (metric suffix, EvalStats attribute, metric type, help text)
 _SERIES = (
-    ("cache_hits_total", "n_hits", "counter",
+    ("cache_hits_total", "n_cache_hits", "counter",
      "Candidate score lookups served from the cache."),
-    ("cache_misses_total", "n_misses", "counter",
+    ("cache_misses_total", "n_cache_misses", "counter",
      "Candidate score lookups that required evaluation."),
     ("batches_total", "n_batches", "counter",
      "Candidate batches scored."),

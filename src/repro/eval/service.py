@@ -17,9 +17,8 @@ changing a single score:
 * **fold reuse** — CV splits are planned once per target via
   :class:`~repro.eval.folds.FoldCache` and passed into every fit.
 * **batching** — :meth:`score_batch` scores a sweep's surviving
-  candidates together against one frozen base matrix, through a
-  pluggable backend: ``serial`` (arena-backed, zero-copy trials),
-  ``process`` (a fresh ``multiprocessing`` pool per batch), or
+  candidates together against one frozen base matrix, through one of
+  two backends: ``serial`` (arena-backed, zero-copy trials) or
   ``pool`` (a persistent :class:`~repro.eval.executor.PoolExecutor`
   whose workers receive the base matrix through shared memory).
   Backends are bit-equal because every evaluation is independently
@@ -32,15 +31,18 @@ changing a single score:
   in batches rather than one put per candidate.
 
 ``DownstreamEvaluator`` counters keep meaning *real downstream fits*:
-cache hits never touch them, and the service tracks hits/misses
-separately so results can report both.  A service whose backend owns
-OS resources (the ``pool`` executor) must be :meth:`close`\\ d — the
-engine does this at the end of every ``fit()``.
+cache hits never touch them.  Everything else the service counts —
+hits, misses, fallbacks, speculation, pool occupancy, the fidelity
+ladder — lives in one :class:`EvalStats` record, which
+:class:`~repro.core.engine.AFEResult` carries as ``stats`` and
+:mod:`repro.eval.metrics` exports as ``repro_eval_*``.  A service
+whose backend owns OS resources (the ``pool`` executor) must be
+:meth:`close`\\ d — the engine does this at the end of every
+``fit()``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import warnings
 from collections import OrderedDict
@@ -66,7 +68,7 @@ __all__ = [
     "BACKENDS",
 ]
 
-BACKENDS = ("serial", "process", "pool")
+BACKENDS = ("serial", "pool")
 
 #: Environment knob for the per-fit deadline (pool backend), seconds.
 EVAL_TIMEOUT_ENV = "REPRO_EVAL_TIMEOUT"
@@ -95,8 +97,10 @@ _WRITE_BATCH = 64
 
 @dataclass
 class EvalStats:
-    """Per-service accounting of cache behaviour.
+    """Per-service scoring accounting: the one counter record.
 
+    ``AFEResult.stats`` is this record (its counters also read as flat
+    ``AFEResult`` attributes), so a new counter is one field here.
     ``n_near_duplicates`` counts cache *misses* whose quantile-sketch
     bucket had already been seen for a different column — candidates
     that paid a real fit despite being distribution-near-duplicates of
@@ -104,15 +108,14 @@ class EvalStats:
     (surrogate-score) reuse.
     """
 
-    n_hits: int = 0
-    n_misses: int = 0
+    n_cache_hits: int = 0
+    n_cache_misses: int = 0
     n_batches: int = 0
     n_near_duplicates: int = 0
     #: Times candidate scoring fell back to the serial path because a
-    #: parallel backend failed (pool creation denied, worker crash,
-    #: worker-side scoring error).  Non-zero means the run was correct
-    #: but slower than configured — previously this degradation was
-    #: silent.
+    #: pool submission failed (worker crash, worker-side scoring
+    #: error).  Non-zero means the run was correct but slower than
+    #: configured — previously this degradation was silent.
     n_backend_fallbacks: int = 0
     #: Pool fits cancelled for overrunning their ``eval_timeout``
     #: deadline; each was re-scored serially in the parent (so the run
@@ -143,11 +146,12 @@ class EvalStats:
     #: pool and the high-water mark of concurrently outstanding
     #: submissions (dispatched + backlogged).
     pool_workers: int = 0
-    peak_inflight: int = 0
+    pool_peak_inflight: int = 0
     #: Multi-fidelity accounting (zero unless ``eval_fidelity`` is on).
     #: Every submission is exactly one of a cache hit, a cache miss, or
-    #: a surrogate serve: ``n_hits + n_misses + n_surrogate_served ==
-    #: submissions`` (the invariant the throughput benchmark asserts).
+    #: a surrogate serve: ``n_cache_hits + n_cache_misses +
+    #: n_surrogate_served == submissions`` (the invariant the
+    #: throughput benchmark asserts).
     #: ``n_lowfi_scored`` counts misses that paid a rung-0 estimate,
     #: ``n_promoted`` the subset re-scored at full CV;
     #: ``n_surrogate_fallbacks`` counts candidates whose sketch bucket
@@ -161,10 +165,6 @@ class EvalStats:
     n_surrogate_fallbacks: int = 0
     n_audited: int = 0
     fidelity_regret_total: float = 0.0
-
-    @property
-    def n_lookups(self) -> int:
-        return self.n_hits + self.n_misses
 
     @property
     def fidelity_regret(self) -> float:
@@ -183,12 +183,13 @@ class EvalStats:
         """
         if not self.pool_workers:
             return 0.0
-        return self.peak_inflight / self.pool_workers
+        return self.pool_peak_inflight / self.pool_workers
 
     @property
     def hit_rate(self) -> float:
-        lookups = self.n_lookups
-        return self.n_hits / lookups if lookups else 0.0
+        """Share of candidate lookups served without a downstream fit."""
+        lookups = self.n_cache_hits + self.n_cache_misses
+        return self.n_cache_hits / lookups if lookups else 0.0
 
 
 #: Back-compat name: the PR-1 in-process score store now lives in
@@ -202,9 +203,8 @@ class ScoreFuture:
     Produced by :meth:`EvaluationService.submit_batch`.  How the score
     materializes depends on the service backend:
 
-    * cache hit / ``process`` backend — already resolved at submission
-      (``process`` prefetches the whole batch speculatively, exactly
-      like :meth:`EvaluationService.iter_scores` always has);
+    * cache hit (or a fidelity-ladder batch) — already resolved at
+      submission;
     * ``serial`` — fully lazy: the CV fit runs inside :meth:`result`,
       so abandoned futures cost nothing;
     * ``pool`` — in flight on a persistent worker; :meth:`result`
@@ -296,26 +296,6 @@ class ScoreFuture:
         return self._value
 
 
-def _score_chunk(payload) -> list[tuple[float, float]]:
-    """Process-pool worker: score a chunk of candidate columns.
-
-    Rebuilds an equivalent evaluator from its parameters (the parent's
-    counters are updated by the parent), stacks each column onto the
-    shared base, and returns ``(score, fit_seconds)`` per candidate.
-    """
-    from ..core.evaluation import DownstreamEvaluator
-
-    params, base, columns, y, folds = payload
-    evaluator = DownstreamEvaluator(**params)
-    results: list[tuple[float, float]] = []
-    for column in columns:
-        matrix = base if column is None else np.column_stack([base, column])
-        before = evaluator.total_eval_time
-        score = evaluator.evaluate(matrix, y, folds=folds)
-        results.append((score, evaluator.total_eval_time - before))
-    return results
-
-
 class EvaluationService:
     """Cached, batched front-end over one :class:`DownstreamEvaluator`.
 
@@ -331,15 +311,12 @@ class EvaluationService:
         :func:`repro.store.make_eval_backend`).  ``None`` disables
         memoization entirely (every lookup is a miss).
     backend:
-        ``"serial"``, ``"process"``, or ``"pool"`` — how
-        :meth:`score_batch` / :meth:`submit_batch` score cache misses.
+        ``"serial"`` or ``"pool"`` — how :meth:`score_batch` /
+        :meth:`submit_batch` score cache misses.
     n_workers:
-        Worker count for the parallel backends.  Defaults differ:
-        ``process`` keeps its historical ``min(4, cpu_count)`` cap
-        (its per-batch startup cost grows with pool size), while the
-        persistent ``pool`` backend amortizes startup and defaults to
-        every core.  The ``REPRO_EVAL_WORKERS`` environment variable
-        overrides either default; this parameter overrides both.
+        Worker count of the ``pool`` backend.  Defaults to every core;
+        the ``REPRO_EVAL_WORKERS`` environment variable overrides the
+        default, and this parameter overrides both.
     fidelity:
         Optional :class:`~repro.fidelity.FidelityController`.  When
         set, batch scoring routes through the multi-fidelity ladder /
@@ -447,15 +424,6 @@ class EvaluationService:
             timeout=getattr(config, "eval_timeout", None),
         )
 
-    # -- accounting ---------------------------------------------------------
-    @property
-    def n_cache_hits(self) -> int:
-        return self.stats.n_hits
-
-    @property
-    def n_cache_misses(self) -> int:
-        return self.stats.n_misses
-
     # -- keys ---------------------------------------------------------------
     def token(self, X: np.ndarray) -> str:
         """Content token of a base matrix, for candidate keying."""
@@ -486,13 +454,13 @@ class EvaluationService:
     # -- scoring ------------------------------------------------------------
     def _lookup(self, key: str) -> float | None:
         if self.cache is None:
-            self.stats.n_misses += 1
+            self.stats.n_cache_misses += 1
             return None
         score = self.cache.get(key)
         if score is None:
-            self.stats.n_misses += 1
+            self.stats.n_cache_misses += 1
         else:
-            self.stats.n_hits += 1
+            self.stats.n_cache_hits += 1
         return score
 
     def _store(self, key: str, score: float) -> None:
@@ -549,8 +517,7 @@ class EvaluationService:
         the base matrix), its in-flight submissions keep running in
         the workers.  Their results are still real fits — this folds
         them into the evaluator's counters and the cache so the money
-        already spent is not thrown away, mirroring the ``process``
-        backend's speculative-prefetch accounting.
+        already spent is not thrown away.
         """
         if self._executor is None or not self._inflight:
             return
@@ -799,7 +766,7 @@ class EvaluationService:
             key = self._candidate_key(token, column, target_token)
             keys.append(key)
             if key in missing_of_key:
-                self.stats.n_hits += 1
+                self.stats.n_cache_hits += 1
                 missing_of_key[key].append(index)
                 continue
             cached = self._lookup(key)
@@ -833,12 +800,12 @@ class EvaluationService:
         The consumer may stop early (e.g. after accepting a candidate
         the base matrix changes) and re-issue the remainder against the
         new base.  With the ``serial`` backend scoring is fully lazy —
-        abandoned candidates cost nothing.  With the ``process`` and
-        ``pool`` backends the whole batch is prefetched speculatively
-        for parallelism, so abandoned candidates may still have paid a
-        real (cached-for-later) fit — that is the price of the
-        parallel backends, not a correctness difference.  (For the
-        pipelined variant, see :meth:`iter_scores_async`.)
+        abandoned candidates cost nothing.  With the ``pool`` backend
+        the whole batch is scored up front for parallelism, so
+        abandoned candidates may still have paid a real
+        (cached-for-later) fit — the price of parallelism, not a
+        correctness difference.  (For the pipelined variant, see
+        :meth:`iter_scores_async`.)
 
         With a fidelity controller installed the whole batch routes
         through :meth:`score_batch` regardless of backend — ladder
@@ -846,7 +813,7 @@ class EvaluationService:
         """
         if not columns:
             return
-        if self.backend in ("process", "pool") or self.fidelity is not None:
+        if self.backend == "pool" or self.fidelity is not None:
             yield from self.score_batch(base, columns, y, base_token=base_token)
             return
         self.stats.n_batches += 1
@@ -881,8 +848,7 @@ class EvaluationService:
         :meth:`ScoreFuture.result` — generating more candidates,
         filtering, credit assignment.  The ``serial`` backend returns
         fully lazy futures (abandoned candidates cost nothing, exactly
-        like :meth:`iter_scores`); the ``process`` backend prefetches
-        the whole batch speculatively, as it always has.
+        like :meth:`iter_scores`).
 
         ``speculative=True`` marks the batch as *cross-sweep
         speculation*: work the caller expects to need but may have to
@@ -902,14 +868,12 @@ class EvaluationService:
             return []
         if speculative:
             self.stats.n_speculative_submitted += len(columns)
-        if self.backend == "process" or self.fidelity is not None:
+        if self.fidelity is not None:
             # score_batch owns stats/batch accounting on this path.
-            # (Speculation is pointless here — the whole batch is fit
-            # eagerly at submission — but the accounting stays honest.
-            # The fidelity ladder likewise needs the full batch up
-            # front to make its promotion decision, so futures resolve
-            # eagerly; the engine disables cross-sweep speculation
-            # when fidelity is on for exactly this reason.)
+            # The fidelity ladder needs the full batch up front to make
+            # its promotion decision, so futures resolve eagerly; the
+            # engine disables cross-sweep speculation when fidelity is
+            # on for exactly this reason.
             scores = self.score_batch(base, columns, y, base_token=base_token)
             return [ScoreFuture.resolved(score) for score in scores]
         self.stats.n_batches += 1
@@ -942,7 +906,7 @@ class EvaluationService:
             primary = first_of_key.get(key)
             if primary is not None:
                 # In-batch duplicate: one submission, later ones are hits.
-                self.stats.n_hits += 1
+                self.stats.n_cache_hits += 1
                 futures.append(ScoreFuture._make_alias(primary))
                 continue
             cached = self._lookup(key)
@@ -1002,7 +966,7 @@ class EvaluationService:
         """Mirror executor occupancy into the reportable stats."""
         if self._executor is not None:
             self.stats.pool_workers = self._executor.n_workers
-            self.stats.peak_inflight = self._executor.peak_inflight
+            self.stats.pool_peak_inflight = self._executor.peak_inflight
 
     def iter_scores_async(
         self,
@@ -1013,15 +977,14 @@ class EvaluationService:
     ):
         """Pipelined :meth:`iter_scores`: submit everything, stream in order.
 
-        For the ``serial`` and ``process`` backends this is exactly
-        :meth:`iter_scores` (bit-identical scores, counters, and
-        laziness).  For the ``pool`` backend, misses are in flight on
-        the persistent workers while earlier scores are consumed;
-        abandoning the iterator early (the engine does, after an
-        acceptance) leaves the stragglers running — their results are
-        folded into the counters and cache at the next submission or
-        :meth:`close`, mirroring the ``process`` backend's
-        speculative-prefetch semantics.  Fresh scores are written to
+        For the ``serial`` backend this is exactly :meth:`iter_scores`
+        (bit-identical scores, counters, and laziness).  For the
+        ``pool`` backend, misses are in flight on the persistent
+        workers while earlier scores are consumed; abandoning the
+        iterator early (the engine does, after an acceptance) leaves
+        the stragglers running — their results are folded into the
+        counters and cache at the next submission or :meth:`close`.
+        Fresh scores are written to
         the cache store in batches (one ``put_many`` per flush) rather
         than one put per candidate.
         """
@@ -1048,15 +1011,13 @@ class EvaluationService:
 
         The single dispatch point for real full-fidelity fits — used by
         the exact :meth:`score_batch` path and by the fidelity
-        controller for promoted and audited candidates, so every
-        backend (serial / process / pool) serves both paths.
+        controller for promoted and audited candidates, so both
+        backends serve both paths.
         """
         if self.backend == "pool":
             return self._score_missing_pool(
                 base, token, columns, missing, y, target_token
             )
-        if self.backend == "process" and len(missing) > 1:
-            return self._score_missing_process(base, columns, missing, y)
         return self._score_missing_serial(base, token, columns, missing, y)
 
     def _score_missing_serial(
@@ -1139,55 +1100,4 @@ class EvaluationService:
                 self.evaluator.n_evaluations += 1
                 self.evaluator.total_eval_time += seconds
             scores.append(score)
-        return scores
-
-    def _score_missing_process(
-        self,
-        base: np.ndarray,
-        columns: list[np.ndarray],
-        missing: list[int],
-        y: np.ndarray,
-    ) -> list[float]:
-        """Fan cache misses out over a process pool.
-
-        Each worker rebuilds an equivalent evaluator, so results are
-        bit-identical to the serial backend; the parent folds the real
-        fit counts and times back into its own evaluator's counters.
-        """
-        from .executor import env_eval_workers
-
-        n_workers = (
-            self.n_workers
-            or env_eval_workers()
-            or min(4, os.cpu_count() or 1)
-        )
-        n_workers = max(1, min(n_workers, len(missing)))
-        if n_workers == 1:
-            token = self.token(base)
-            return self._score_missing_serial(base, token, columns, missing, y)
-        params = self.evaluator.params()
-        folds = self._plan(y)
-        chunks = np.array_split(np.asarray(missing), n_workers)
-        payloads = [
-            (params, base, [columns[i] for i in chunk], y, folds)
-            for chunk in chunks
-            if len(chunk)
-        ]
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            context = multiprocessing.get_context("spawn")
-        try:
-            with context.Pool(processes=len(payloads)) as pool:
-                chunk_results = pool.map(_score_chunk, payloads)
-        except OSError:  # pragma: no cover - pool creation denied
-            self.stats.n_backend_fallbacks += 1
-            token = self.token(base)
-            return self._score_missing_serial(base, token, columns, missing, y)
-        scores: list[float] = []
-        for results in chunk_results:
-            for score, seconds in results:
-                scores.append(score)
-                self.evaluator.n_evaluations += 1
-                self.evaluator.total_eval_time += seconds
         return scores

@@ -1,8 +1,8 @@
 """Shared-memory publication of base matrices for pool workers.
 
-The ``process`` backend pickles the full base matrix into every chunk
-payload — an O(n·d) serialization per sweep that grows with every
-accepted feature.  The ``pool`` backend instead *publishes* each base
+Pickling the full base matrix into every submission would cost an
+O(n·d) serialization per sweep that grows with every accepted
+feature.  The ``pool`` backend instead *publishes* each base
 matrix (and the target vector) exactly once per content token into a
 :mod:`multiprocessing.shared_memory` segment; a trial submission then
 ships only the candidate column and the token, and workers map the

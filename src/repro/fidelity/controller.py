@@ -117,8 +117,8 @@ class FidelityController:
         Accounting invariant (asserted by the throughput benchmark):
         every submission is exactly one of a cache hit, a cache miss
         (it reached rung 0 or full CV), or a surrogate serve —
-        ``n_hits + n_misses + n_surrogate_served`` grows by
-        ``len(columns)``.  Audit fits are extra real evaluations on
+        ``n_cache_hits + n_cache_misses + n_surrogate_served`` grows
+        by ``len(columns)``.  Audit fits are extra real evaluations on
         top, never a fourth lookup category.
         """
         stats = service.stats
@@ -137,19 +137,19 @@ class FidelityController:
             primary = first_of_key.get(key)
             if primary is not None:
                 # In-batch duplicate: resolved once, later ones are hits.
-                stats.n_hits += 1
+                stats.n_cache_hits += 1
                 duplicates_of.setdefault(primary, []).append(index)
                 continue
             first_of_key[key] = index
             cached = cache.get(key) if cache is not None else None
             if cached is not None:
-                stats.n_hits += 1
+                stats.n_cache_hits += 1
                 scores[index] = float(cached)
                 continue
             if self.ladder is not None and cache is not None:
                 lowfi_cached = cache.get(self.lowfi_key(key))
                 if lowfi_cached is not None:
-                    stats.n_hits += 1
+                    stats.n_cache_hits += 1
                     scores[index] = float(lowfi_cached)
                     continue
             if self.surrogate is not None:
@@ -169,7 +169,7 @@ class FidelityController:
                     continue
                 if self.surrogate.n_observations(surrogate_key) > 0:
                     stats.n_surrogate_fallbacks += 1
-            stats.n_misses += 1
+            stats.n_cache_misses += 1
             service._note_near_duplicate(column)
             if self.ladder is not None:
                 lowfi_positions.append(index)

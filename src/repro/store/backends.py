@@ -1,10 +1,9 @@
 """Pluggable score-cache backends for the evaluation service.
 
 The evaluation layer memoizes downstream CV scores by candidate
-fingerprint.  PR 1 kept those scores in a per-process dict, which means
-``process``-backend workers re-fit candidates the parent already paid
-for, and every fresh process (multi-seed benches, repeated runs) starts
-cold.  This module makes the store pluggable:
+fingerprint.  A per-process dict alone means every fresh process
+(multi-seed benches, repeated runs) starts cold.  This module makes the
+store pluggable:
 
 * :class:`MemoryBackend` — the original bounded in-process dict; zero
   dependencies, zero I/O, dies with the process.

@@ -59,10 +59,10 @@ RUN_RESUME_ENV = "REPRO_RUN_RESUME"
 
 #: Fields that must not invalidate stored cells.  The seed is its own
 #: run-store axis; the ``eval_*`` knobs only choose *how* scores are
-#: computed or cached (PR 1 guarantees serial/process and cached/
-#: uncached scores are bit-equal), so resuming a serial sweep under
-#: ``eval_backend="process"`` — or against a moved store file — must
-#: replay its completed cells instead of re-running everything.
+#: computed or cached (serial/pool and cached/uncached scores are
+#: bit-equal), so resuming a serial sweep under ``eval_backend="pool"``
+#: — or against a moved store file — must replay its completed cells
+#: instead of re-running everything.
 _HASH_EXCLUDED_FIELDS = (
     "seed",
     "eval_backend",

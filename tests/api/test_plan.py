@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.api import PLAN_FORMAT_VERSION, FeaturePlan
+from repro.core import EAFE, FPEModel, make_evaluator_factory
 from repro.core.engine import AFEResult, EngineConfig
+from repro.datasets import make_classification
 from repro.frame import Frame
 from repro.operators import Operator, default_registry
 
@@ -69,6 +71,51 @@ class TestTransform:
     def test_expressions_must_fit_input_schema(self):
         with pytest.raises(ValueError, match="absent from input_columns"):
             FeaturePlan(["mul(f0,f9)"], ["f0", "f1"])
+
+    def test_required_columns(self):
+        plan = FeaturePlan(
+            ["f1", "mul(f1,f2)", "log(f3)"], ["f0", "f1", "f2", "f3"]
+        )
+        assert plan.required_columns == {"f1", "f2", "f3"}
+
+    def test_applies_to_unseen_rows(self):
+        plan = FeaturePlan(
+            ["f0", "mul(f0,f1)", "log(f2)", "div(f3,f0)"],
+            ["f0", "f1", "f2", "f3"],
+        )
+        unseen = make_classification(n_samples=37, n_features=4, seed=99).X
+        out = plan.transform(unseen)
+        assert out.shape == (37, 4)
+        assert np.isfinite(out).all()
+
+
+class TestEngineReplay:
+    def test_replays_engine_selection_on_training_data(self):
+        # The plan applied to training data must reproduce the engine's
+        # cached best matrix column by column.
+        corpus = [
+            make_classification(n_samples=50, n_features=4, seed=s)
+            for s in range(2)
+        ]
+        fpe = FPEModel(d=8, seed=0)
+        fpe.fit(corpus, make_evaluator_factory(), generated_per_dataset=2)
+        task = make_classification(n_samples=120, n_features=5, seed=21)
+        config = EngineConfig(
+            n_epochs=3, stage1_epochs=1, transforms_per_agent=3,
+            n_splits=3, n_estimators=3, max_agents=5, seed=0,
+        )
+        result = EAFE(fpe, config).fit(task)
+        plan = FeaturePlan.from_result(result, input_columns=task.X.columns)
+        replayed = plan.transform(task.X)
+        assert replayed.shape == result.selected_matrix.shape
+        for j, name in enumerate(result.selected_features):
+            np.testing.assert_allclose(
+                replayed[:, j],
+                result.selected_matrix[:, j],
+                rtol=1e-9,
+                atol=1e-9,
+                err_msg=name,
+            )
 
 
 class TestSerialization:

@@ -180,12 +180,12 @@ class TestResolveWorkers:
 
 
 class TestBackendEquivalence:
-    def test_pool_process_serial_bit_identity_scores_and_counters(self):
+    def test_pool_serial_bit_identity_scores_and_counters(self):
         task, base, columns = _workload()
         # Duplicate a candidate so the in-batch dedup paths are exercised.
         columns = columns + [columns[0]]
         results = {}
-        for backend in ("serial", "process", "pool"):
+        for backend in ("serial", "pool"):
             service = EvaluationService(
                 _evaluator(),
                 cache=EvaluationCache(),
@@ -197,12 +197,12 @@ class TestBackendEquivalence:
                 second = service.score_batch(base, columns, task.y)
             results[backend] = {
                 "scores": (first, second),
-                "hits": service.stats.n_hits,
-                "misses": service.stats.n_misses,
+                "hits": service.stats.n_cache_hits,
+                "misses": service.stats.n_cache_misses,
                 "fallbacks": service.stats.n_backend_fallbacks,
                 "fits": service.evaluator.n_evaluations,
             }
-        assert results["pool"] == results["serial"] == results["process"]
+        assert results["pool"] == results["serial"]
         assert results["pool"]["fallbacks"] == 0
 
     def test_iter_scores_async_matches_serial_scores(self):

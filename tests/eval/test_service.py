@@ -57,7 +57,7 @@ class TestMemoization:
         second = service.evaluate(task.X.to_array(), task.y)
         assert first == reference
         assert second == reference
-        assert service.n_cache_hits == 1
+        assert service.stats.n_cache_hits == 1
         assert service.evaluator.n_evaluations == 1
 
     def test_candidate_keying_matches_full_matrix_scoring(self):
@@ -96,7 +96,7 @@ class TestMemoization:
         service = EvaluationService(_evaluator(), cache=None)
         service.evaluate(task.X.to_array(), task.y)
         service.evaluate(task.X.to_array(), task.y)
-        assert service.n_cache_hits == 0
+        assert service.stats.n_cache_hits == 0
         assert service.evaluator.n_evaluations == 2
 
     def test_distinct_base_versions_do_not_collide(self):
@@ -107,7 +107,7 @@ class TestMemoization:
         a = service.score_batch(base, columns, task.y)[0]
         b = service.score_batch(other_base, columns, task.y)[0]
         assert service.evaluator.n_evaluations == 2
-        assert a != b or service.n_cache_hits == 0
+        assert a != b or service.stats.n_cache_hits == 0
 
     def test_regression_task_supported(self):
         task = make_regression(n_samples=80, n_features=4, seed=4)
@@ -138,30 +138,18 @@ class TestScoreBatch:
         assert scores[0] == scores[2]
         assert scores[1] == scores[3]
         assert service.evaluator.n_evaluations == 2
-        assert service.n_cache_hits == 2
+        assert service.stats.n_cache_hits == 2
 
     def test_empty_batch(self):
         task = make_classification(n_samples=60, n_features=4, seed=7)
         service = EvaluationService(_evaluator(), cache=EvaluationCache())
         assert service.score_batch(task.X.to_array(), [], task.y) == []
 
-    def test_process_backend_equals_serial(self):
-        task = make_classification(n_samples=90, n_features=4, seed=8)
-        base, columns = _candidates(task)
-        serial = EvaluationService(_evaluator(), cache=None, backend="serial")
-        process = EvaluationService(
-            _evaluator(), cache=None, backend="process", n_workers=2
-        )
-        serial_scores = serial.score_batch(base, columns, task.y)
-        process_scores = process.score_batch(base, columns, task.y)
-        assert process_scores == serial_scores
-        # The parent's accounting still counts every real fit.
-        assert process.evaluator.n_evaluations == len(columns)
-        assert process.evaluator.total_eval_time > 0.0
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationService(_evaluator(), backend="threads")
+        # A removed backend name must fail loudly, not fall back.
+        for backend in ("threads", "process"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                EvaluationService(_evaluator(), backend=backend)
 
 
 class TestSharedCache:
@@ -173,7 +161,7 @@ class TestSharedCache:
         a = first.evaluate(task.X.to_array(), task.y)
         b = second.evaluate(task.X.to_array(), task.y)
         assert a == b
-        assert second.n_cache_hits == 1
+        assert second.stats.n_cache_hits == 1
         assert second.evaluator.n_evaluations == 0
 
     def test_different_evaluator_params_never_share_entries(self):
@@ -183,7 +171,7 @@ class TestSharedCache:
         second = EvaluationService(_evaluator(seed=1), cache=cache)
         first.evaluate(task.X.to_array(), task.y)
         second.evaluate(task.X.to_array(), task.y)
-        assert second.n_cache_hits == 0
+        assert second.stats.n_cache_hits == 0
         assert len(cache) == 2
 
     def test_eviction_bounds_entries(self):

@@ -107,7 +107,7 @@ class TestServiceSpeculation:
             stats.n_speculative_used + stats.n_speculative_discarded
         )
         assert stats.pool_workers == 2
-        assert stats.peak_inflight >= 1
+        assert stats.pool_peak_inflight >= 1
         assert service.stats.pool_occupancy >= 0.5
 
     def test_discard_cancels_undispatched_without_paying_fits(self):

@@ -58,7 +58,7 @@ class TestOffIsInert:
         assert service.fidelity is None
         service.close()
 
-    @pytest.mark.parametrize("backend", ["serial", "process", "pool"])
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
     def test_off_trajectory_bit_identical_per_backend(
         self, task, fpe, backend
     ):

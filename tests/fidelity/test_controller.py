@@ -35,7 +35,9 @@ def _service(spec_text, backend="serial", cache=None, seed=0):
 
 def _submissions(service):
     stats = service.stats
-    return stats.n_hits + stats.n_misses + stats.n_surrogate_served
+    return (
+        stats.n_cache_hits + stats.n_cache_misses + stats.n_surrogate_served
+    )
 
 
 class TestMakeFidelity:
@@ -75,7 +77,7 @@ class TestAccountingInvariant:
         scores = service.score_batch(base, doubled, y)
         assert scores[4] == scores[0]
         assert scores[5] == scores[2]
-        assert service.stats.n_hits == 2
+        assert service.stats.n_cache_hits == 2
         assert _submissions(service) == len(doubled)
         service.close()
 
@@ -146,7 +148,7 @@ class TestSurrogatePath:
         stats = service.stats
         assert stats.n_surrogate_served == 2
         assert service.evaluator.n_evaluations == fits  # no new fits
-        assert stats.n_misses == 4
+        assert stats.n_cache_misses == 4
         assert _submissions(service) == 6
         service.close()
 
@@ -163,7 +165,7 @@ class TestSurrogatePath:
         stats = service.stats
         assert stats.n_surrogate_served == 0
         assert stats.n_surrogate_fallbacks == 2
-        assert stats.n_misses == 4
+        assert stats.n_cache_misses == 4
         service.close()
 
 
@@ -222,7 +224,7 @@ class TestEntryPointsRouteThroughLadder:
 
 
 class TestBackendEquality:
-    @pytest.mark.parametrize("backend", ["process", "pool"])
+    @pytest.mark.parametrize("backend", ["pool"])
     def test_fidelity_scores_identical_across_backends(self, backend):
         base, columns, y = _workload(n_candidates=8)
         serial = _service("ladder:promote=0.5,rows=0.5,audit=0")

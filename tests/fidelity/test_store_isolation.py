@@ -39,7 +39,7 @@ scores = service.score_batch(base, columns, y)
 service.close()
 print(json.dumps({
     "scores": [score.hex() for score in scores],
-    "n_misses": service.stats.n_misses,
+    "n_misses": service.stats.n_cache_misses,
     "n_real_fits": service.evaluator.n_evaluations,
     "n_lowfi_scored": service.stats.n_lowfi_scored,
 }))

@@ -30,7 +30,7 @@ class TestConfigHash:
         # equality), so they must not invalidate completed cells.
         base = EngineConfig()
         assert config_hash(base) == config_hash(
-            replace(base, eval_backend="process", eval_workers=4)
+            replace(base, eval_backend="pool", eval_workers=4)
         )
         assert config_hash(base) == config_hash(replace(base, eval_cache=False))
         assert config_hash(base) == config_hash(

@@ -60,7 +60,7 @@ class TestPublicClassesDocumentMethods:
             "repro.frame.Frame",
             "repro.core.EAFE",
             "repro.core.FPEModel",
-            "repro.core.FeatureTransformer",
+            "repro.api.FeaturePlan",
             "repro.core.DownstreamEvaluator",
             "repro.hashing.SampleCompressor",
             "repro.rl.RecurrentPolicyAgent",
