@@ -242,7 +242,6 @@ def _measure_pool_speculative(task, sweeps) -> dict:
         "n_speculative_submitted": stats.n_speculative_submitted,
         "n_speculative_used": stats.n_speculative_used,
         "n_speculative_discarded": stats.n_speculative_discarded,
-        "n_drained_evictions": stats.n_drained_evictions,
         "pool_workers": stats.pool_workers,
         "pool_peak_inflight": stats.pool_peak_inflight,
         "pool_occupancy": stats.pool_occupancy,

@@ -5,9 +5,11 @@ Every downstream evaluation in the library flows through this layer.
 reuses CV fold plans, and batches sweeps through two bit-identical
 backends: ``serial`` (lazy, in-process) and ``pool`` (a persistent
 shared-memory :class:`PoolExecutor` whose workers receive base
-matrices via
-``multiprocessing.shared_memory`` and pipeline fits behind
-:meth:`EvaluationService.iter_scores_async`).
+matrices via ``multiprocessing.shared_memory``).  On both,
+:meth:`EvaluationService.iter_scores_async` (alias ``iter_scores``)
+streams :meth:`EvaluationService.submit_batch`'s :class:`ScoreFuture`
+results in submission order: lazily on ``serial``, with fits pipelined
+behind the consumer on ``pool``.
 :class:`FeatureMatrixArena` turns per-candidate matrix construction
 into an O(n) buffer write.  The un-cached primitive
 (:class:`repro.core.evaluation.DownstreamEvaluator`) stays the unit of

@@ -313,10 +313,6 @@ class PoolExecutor:
         """PIDs of the current worker generation (tests kill these)."""
         return [worker.pid for worker in self._workers]
 
-    @property
-    def n_pending(self) -> int:
-        return len(self._pending)
-
     def _any_worker_dead(self) -> bool:
         return any(worker.exitcode is not None for worker in self._workers)
 
@@ -562,11 +558,6 @@ class PoolExecutor:
         if seq in self._lost:
             self.result(seq)  # raises TaskLost
         return None
-
-    def forget(self, seq: int) -> None:
-        """Drop a resolved/lost submission nobody will ever collect."""
-        self._resolved.pop(seq, None)
-        self._lost.discard(seq)
 
     # -- teardown -----------------------------------------------------------
     def close(self) -> None:

@@ -24,11 +24,13 @@ changing a single score:
   Backends are bit-equal because every evaluation is independently
   seeded.
 * **pipelining** — :meth:`submit_batch` returns
-  :class:`ScoreFuture` handles and :meth:`iter_scores_async` consumes
-  them in submission order; with the ``pool`` backend the CV fits run
-  in the workers while the caller keeps generating and filtering
-  candidates, and fresh scores are written through to the cache store
-  in batches rather than one put per candidate.
+  :class:`ScoreFuture` handles and :meth:`iter_scores_async` (alias
+  :meth:`iter_scores`) resolves them in submission order on every
+  backend.  ``serial`` futures are lazy, so an abandoned stream pays
+  no fit; with the ``pool`` backend the CV fits run in the workers
+  while the caller keeps generating and filtering candidates, and
+  fresh scores are written through to the cache store in batches
+  rather than one put per candidate.
 
 ``DownstreamEvaluator`` counters keep meaning *real downstream fits*:
 cache hits never touch them.  Everything else the service counts —
@@ -44,7 +46,6 @@ whose backend owns OS resources (the ``pool`` executor) must be
 from __future__ import annotations
 
 import os
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -134,14 +135,6 @@ class EvalStats:
     n_speculative_submitted: int = 0
     n_speculative_used: int = 0
     n_speculative_discarded: int = 0
-    #: Drained speculative scores evicted from the bounded
-    #: held-for-the-caller buffer before anyone resolved their future.
-    #: Non-zero means futures were abandoned in numbers past the bound
-    #: — their scores are still in the cache, but *resolving* one of
-    #: the evicted futures afterwards pays a duplicate serial fit
-    #: (counted as a backend fallback).  Previously this eviction was
-    #: silent; now it is counted here and warned about once.
-    n_drained_evictions: int = 0
     #: Pool-occupancy observability: worker count of the persistent
     #: pool and the high-water mark of concurrently outstanding
     #: submissions (dispatched + backlogged).
@@ -208,9 +201,10 @@ class ScoreFuture:
     * ``serial`` — fully lazy: the CV fit runs inside :meth:`result`,
       so abandoned futures cost nothing;
     * ``pool`` — in flight on a persistent worker; :meth:`result`
-      blocks for the completion (buffering out-of-order arrivals) and
-      falls back to a parent-side serial fit if the submission died
-      with a worker.
+      blocks for the completion and falls back to a parent-side serial
+      fit if the submission died with a worker.  A completion consumed
+      first by the service's drain pass (at a later submission or at
+      :meth:`EvaluationService.close`) resolves the future in place.
 
     Futures hold references to the caller's base matrix until
     resolved; callers that mutate the base between submission and
@@ -240,22 +234,12 @@ class ScoreFuture:
         return future
 
     @classmethod
-    def _make_lazy(
-        cls, service, base, token, column, y, target_token
+    def _pending(
+        cls, service, base, token, column, y, target_token,
+        seq=None, key=None,
     ) -> "ScoreFuture":
-        future = cls(service, cls._LAZY)
-        future._base = base
-        future._token = token
-        future._column = column
-        future._y = y
-        future._target_token = target_token
-        return future
-
-    @classmethod
-    def _make_pool(
-        cls, service, seq, key, base, token, column, y, target_token
-    ) -> "ScoreFuture":
-        future = cls(service, cls._POOL)
+        """A lazy serial future, or a pool future when ``seq`` is given."""
+        future = cls(service, cls._LAZY if seq is None else cls._POOL)
         future._seq = seq
         future._key = key
         future._base = base
@@ -271,6 +255,11 @@ class ScoreFuture:
         future._value = primary
         return future
 
+    def _resolve(self, score: float) -> float:
+        self._value = float(score)
+        self._state = self._RESOLVED
+        return self._value
+
     def done(self) -> bool:
         """Whether :meth:`result` will return without blocking or fitting."""
         if self._state == self._RESOLVED:
@@ -278,7 +267,8 @@ class ScoreFuture:
         if self._state == self._ALIAS:
             return self._value.done()
         if self._state == self._POOL:
-            return self._service._pool_future_done(self)
+            executor = self._service._executor
+            return executor is not None and executor.is_resolved(self._seq)
         return False  # lazy: the fit happens at result()
 
     def result(self) -> float:
@@ -288,12 +278,8 @@ class ScoreFuture:
         if self._state == self._ALIAS:
             return self._value.result()
         if self._state == self._POOL:
-            value = self._service._collect_pool_future(self)
-        else:
-            value = self._service._resolve_lazy_future(self)
-        self._value = float(value)
-        self._state = self._RESOLVED
-        return self._value
+            return self._resolve(self._service._collect_pool_future(self))
+        return self._resolve(self._service._resolve_lazy_future(self))
 
 
 class EvaluationService:
@@ -376,20 +362,14 @@ class EvaluationService:
         # _note_near_duplicate).
         self._digest_of_bucket: OrderedDict[str, str] = OrderedDict()
         # Persistent pool backend state: the executor is built lazily
-        # on first use; _inflight maps its sequence numbers to cache
-        # keys so speculative results abandoned mid-batch still land
-        # in the cache; _write_buffer batches fresh pipelined scores
-        # into one store write.
+        # on first use; _inflight maps its sequence numbers to their
+        # unresolved futures, so a result abandoned mid-batch still
+        # lands in the cache and resolves the future any caller may
+        # still hold; _write_buffer batches fresh pipelined scores into
+        # one store write.
         self._executor: "PoolExecutor" | None = None
-        self._inflight: dict[int, str] = {}
+        self._inflight: dict[int, ScoreFuture] = {}
         self._write_buffer: list[tuple[str, float]] = []
-        # Scores _drain_speculative consumed for futures the caller
-        # may still hold: resolving such a future must return the
-        # drained value (already counted and cached), never re-wait on
-        # the executor.  Bounded (_DRAINED_CAPACITY); evictions are
-        # counted in stats.n_drained_evictions and warned about once.
-        self._drained: dict[int, float] = {}
-        self._warned_drained_eviction = False
 
     @classmethod
     def from_config(
@@ -471,17 +451,10 @@ class EvaluationService:
         """Write a batch of fresh scores through in one backend call.
 
         Durable backends commit the whole batch in one transaction
-        (one fsync instead of one per candidate); plain backends fall
-        back to per-entry puts.
+        (one fsync instead of one per candidate).
         """
-        if self.cache is None or not items:
-            return
-        put_many = getattr(self.cache, "put_many", None)
-        if put_many is not None:
-            put_many(items)
-        else:
-            for key, score in items:
-                self.cache.put(key, score)
+        if self.cache is not None and items:
+            self.cache.put_many(items)
 
     # -- pool backend plumbing ----------------------------------------------
     def _ensure_executor(self) -> "PoolExecutor":
@@ -506,9 +479,6 @@ class EvaluationService:
             self._store_many(self._write_buffer)
             self._write_buffer = []
 
-    #: Bound on scores held for abandoned-but-still-referenced futures.
-    _DRAINED_CAPACITY = 4096
-
     def _drain_speculative(self, block: bool = False) -> None:
         """Absorb completed pool submissions nobody is waiting on.
 
@@ -517,13 +487,14 @@ class EvaluationService:
         the base matrix), its in-flight submissions keep running in
         the workers.  Their results are still real fits — this folds
         them into the evaluator's counters and the cache so the money
-        already spent is not thrown away.
+        already spent is not thrown away, and resolves their futures
+        in place so a caller still holding one never pays again.
         """
         if self._executor is None or not self._inflight:
             return
         from .executor import TaskFailed, TaskLost
 
-        for seq, key in list(self._inflight.items()):
+        for seq, future in list(self._inflight.items()):
             try:
                 if block:
                     # The deadline applies here too: close() must not
@@ -534,113 +505,85 @@ class EvaluationService:
                 else:
                     outcome = self._executor.try_result(seq)
             except (TaskLost, TaskFailed):
-                # Abandoned *and* dead: nobody needs the score, so no
-                # serial fallback is owed — just drop it.
+                # Dead: the future stays pending, and resolving it
+                # later re-scores serially through _await_pool.
                 self._inflight.pop(seq, None)
                 continue
             if outcome is None:
                 continue
             score, seconds = outcome
             self._inflight.pop(seq, None)
-            self._drained[seq] = score
-            while len(self._drained) > self._DRAINED_CAPACITY:
-                self._drained.pop(next(iter(self._drained)))
-                self.stats.n_drained_evictions += 1
-                if not self._warned_drained_eviction:
-                    self._warned_drained_eviction = True
-                    warnings.warn(
-                        "EvaluationService drained-score buffer overflowed "
-                        f"(> {self._DRAINED_CAPACITY} abandoned futures); "
-                        "resolving an evicted future now pays a duplicate "
-                        "serial fit (counted in n_drained_evictions / "
-                        "n_backend_fallbacks)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+            future._resolve(score)
             self.evaluator.n_evaluations += 1
             self.evaluator.total_eval_time += seconds
-            self._buffer_write(key, score)
+            self._buffer_write(future._key, score)
 
     #: Times a crash-lost pool submission is resubmitted to the
     #: recovered pool before conceding a serial fallback.
     _POOL_RESUBMITS = 1
 
-    def _pool_result(
-        self, executor: "PoolExecutor", seq: int, resubmit=None
-    ) -> tuple[float, float]:
-        """``executor.result`` with the deadline and crash resubmission.
+    def _await_pool(
+        self,
+        seq: int,
+        base: np.ndarray,
+        token: str,
+        target_token: str,
+        column: np.ndarray,
+        y: np.ndarray,
+    ) -> float:
+        """One pool submission's score, whatever happens to it.
 
-        A :class:`~repro.eval.executor.TaskTimeout` propagates
-        immediately — a deadline kill usually means the fit itself is
-        pathological, so the deterministic serial rescore is the right
-        (and only) second attempt.  A plain ``TaskLost`` (worker crash
-        took the submission down with it) is retried by resubmitting
-        to the freshly recovered pool up to ``_POOL_RESUBMITS`` times.
+        A completion counts as one real fit on the evaluator.  A plain
+        ``TaskLost`` (a worker crash took the submission down with it)
+        is resubmitted to the recovered pool up to ``_POOL_RESUBMITS``
+        times.  A :class:`~repro.eval.executor.TaskTimeout` is not
+        resubmitted — a deadline kill usually means the fit itself is
+        pathological — and is counted in ``stats.n_timeouts``.  Every
+        other failure (crash past the resubmits, worker-side error, a
+        service closed with the submission lost) is counted in
+        ``stats.n_backend_fallbacks``.  Failures re-score the candidate
+        serially in the parent, so the score is always the one the
+        ``serial`` backend would return.
         """
-        from .executor import TaskLost, TaskTimeout
+        from .executor import TaskFailed, TaskLost, TaskTimeout
 
-        attempts = self._POOL_RESUBMITS if resubmit is not None else 0
-        while True:
-            try:
-                return executor.result(seq, timeout=self.timeout)
-            except TaskTimeout:
-                raise
-            except TaskLost:
-                if attempts <= 0:
-                    raise
-                attempts -= 1
-                self._pool_retry.record_retry()
-                seq = resubmit()
-
-    def _pool_future_done(self, future: "ScoreFuture") -> bool:
-        if future._seq in self._drained:
-            return True
-        if self._executor is None:
-            return False
-        return self._executor.is_resolved(future._seq)
+        executor = self._executor
+        resubmits = self._POOL_RESUBMITS
+        try:
+            if executor is None:
+                raise TaskLost(f"service closed; submission {seq}")
+            while True:
+                try:
+                    score, seconds = executor.result(seq, timeout=self.timeout)
+                    break
+                except TaskLost as error:
+                    if isinstance(error, TaskTimeout) or not resubmits:
+                        raise
+                    resubmits -= 1
+                    self._pool_retry.record_retry()
+                    seq = executor.submit(token, base, target_token, y, column)
+        except TaskTimeout:
+            self.stats.n_timeouts += 1
+        except (TaskLost, TaskFailed):
+            self.stats.n_backend_fallbacks += 1
+        else:
+            self.evaluator.n_evaluations += 1
+            self.evaluator.total_eval_time += seconds
+            return score
+        return self._score_missing_serial(base, token, [column], [0], y)[0]
 
     def _collect_pool_future(self, future: "ScoreFuture") -> float:
         """Resolve one in-flight pool submission (with serial fallback)."""
-        from .executor import TaskFailed, TaskLost, TaskTimeout
-
-        drained = self._drained.pop(future._seq, None)
-        if drained is not None:
-            # A drain pass (later batch, or close()) already consumed
-            # the completion — counted and cached then.
-            return drained
-        executor = self._executor
-        try:
-            if executor is None:
-                # The service was closed with this future unresolved
-                # (it was lost mid-drain); score it here instead.
-                raise TaskLost(f"service closed; submission {future._seq}")
-            score, seconds = self._pool_result(
-                executor,
-                future._seq,
-                resubmit=lambda: executor.submit(
-                    future._token, future._base, future._target_token,
-                    np.asarray(future._y, dtype=np.float64).reshape(-1),
-                    future._column,
-                ),
-            )
-        except (TaskLost, TaskFailed) as error:
-            if isinstance(error, TaskTimeout):
-                self.stats.n_timeouts += 1
-            else:
-                self.stats.n_backend_fallbacks += 1
-            self._inflight.pop(future._seq, None)
-            score = self._score_missing_serial(
-                future._base, future._token, [future._column], [0], future._y
-            )[0]
-        else:
-            self._inflight.pop(future._seq, None)
-            self.evaluator.n_evaluations += 1
-            self.evaluator.total_eval_time += seconds
+        self._inflight.pop(future._seq, None)
+        score = self._await_pool(
+            future._seq, future._base, future._token, future._target_token,
+            future._column, future._y,
+        )
         self._buffer_write(future._key, score)
         return score
 
     def _resolve_lazy_future(self, future: "ScoreFuture") -> float:
-        """Serial-backend future: the per-candidate ``iter_scores`` body."""
+        """Serial-backend future: look up, fit on a miss, store."""
         key = self._candidate_key(
             future._token, future._column, future._target_token
         )
@@ -788,49 +731,6 @@ class EvaluationService:
             self._store_many(fresh_entries)
         return [float(score) for score in scores]
 
-    def iter_scores(
-        self,
-        base: np.ndarray,
-        columns: list[np.ndarray],
-        y: np.ndarray,
-        base_token: str | None = None,
-    ):
-        """Yield candidate scores one at a time against a frozen base.
-
-        The consumer may stop early (e.g. after accepting a candidate
-        the base matrix changes) and re-issue the remainder against the
-        new base.  With the ``serial`` backend scoring is fully lazy —
-        abandoned candidates cost nothing.  With the ``pool`` backend
-        the whole batch is scored up front for parallelism, so
-        abandoned candidates may still have paid a real
-        (cached-for-later) fit — the price of parallelism, not a
-        correctness difference.  (For the pipelined variant, see
-        :meth:`iter_scores_async`.)
-
-        With a fidelity controller installed the whole batch routes
-        through :meth:`score_batch` regardless of backend — ladder
-        promotion is a batch decision, not a per-candidate one.
-        """
-        if not columns:
-            return
-        if self.backend == "pool" or self.fidelity is not None:
-            yield from self.score_batch(base, columns, y, base_token=base_token)
-            return
-        self.stats.n_batches += 1
-        base = np.asarray(base, dtype=np.float64)
-        token = base_token if base_token is not None else self.token(base)
-        target_token = self._target_token(y)
-        for column in columns:
-            key = self._candidate_key(token, column, target_token)
-            cached = self._lookup(key)
-            if cached is not None:
-                yield cached
-                continue
-            self._note_near_duplicate(column)
-            score = self._score_missing_serial(base, token, [column], [0], y)
-            self._store(key, score[0])
-            yield score[0]
-
     def submit_batch(
         self,
         base: np.ndarray,
@@ -847,8 +747,7 @@ class EvaluationService:
         whatever the caller does between submission and
         :meth:`ScoreFuture.result` — generating more candidates,
         filtering, credit assignment.  The ``serial`` backend returns
-        fully lazy futures (abandoned candidates cost nothing, exactly
-        like :meth:`iter_scores`).
+        fully lazy futures: abandoned candidates cost nothing.
 
         ``speculative=True`` marks the batch as *cross-sweep
         speculation*: work the caller expects to need but may have to
@@ -889,9 +788,7 @@ class EvaluationService:
         target_token = self._target_token(y)
         if self.backend == "serial":
             return [
-                ScoreFuture._make_lazy(
-                    self, base, token, column, y, target_token
-                )
+                ScoreFuture._pending(self, base, token, column, y, target_token)
                 for column in columns
             ]
         executor = self._ensure_executor()
@@ -917,10 +814,10 @@ class EvaluationService:
                 seq = executor.submit(
                     token, base, target_token, y, column, priority=priority
                 )
-                self._inflight[seq] = key
-                future = ScoreFuture._make_pool(
-                    self, seq, key, base, token, column, y, target_token
+                future = ScoreFuture._pending(
+                    self, base, token, column, y, target_token, seq, key
                 )
+                self._inflight[seq] = future
             first_of_key[key] = future
             futures.append(future)
         self._sync_pool_stats()
@@ -956,9 +853,7 @@ class EvaluationService:
             return
         for future in futures:
             if future._state != ScoreFuture._POOL:
-                continue
-            if future._seq in self._drained:
-                continue  # already absorbed by a drain pass
+                continue  # resolved, possibly by a drain pass
             if self._executor.cancel(future._seq):
                 self._inflight.pop(future._seq, None)
 
@@ -975,28 +870,30 @@ class EvaluationService:
         y: np.ndarray,
         base_token: str | None = None,
     ):
-        """Pipelined :meth:`iter_scores`: submit everything, stream in order.
+        """Yield candidate scores in order against a frozen base.
 
-        For the ``serial`` backend this is exactly :meth:`iter_scores`
-        (bit-identical scores, counters, and laziness).  For the
-        ``pool`` backend, misses are in flight on the persistent
-        workers while earlier scores are consumed; abandoning the
-        iterator early (the engine does, after an acceptance) leaves
-        the stragglers running — their results are folded into the
+        :meth:`submit_batch`, then each future's result in submission
+        order, on every backend.  The consumer may stop early (e.g.
+        after accepting a candidate the base matrix changes) and
+        re-issue the remainder against the new base.  ``serial``
+        futures are lazy, so abandoned candidates cost nothing.  With
+        the ``pool`` backend misses are in flight on the persistent
+        workers while earlier scores are consumed; the stragglers of
+        an abandoned stream keep running and are folded into the
         counters and cache at the next submission or :meth:`close`.
-        Fresh scores are written to
-        the cache store in batches (one ``put_many`` per flush) rather
-        than one put per candidate.
+        Fresh scores are written to the cache store in batches (one
+        ``put_many`` per flush) rather than one put per candidate.
+        With a fidelity controller the whole batch is scored up front
+        — ladder promotion is a batch decision.
         """
-        if self.backend != "pool":
-            yield from self.iter_scores(base, columns, y, base_token=base_token)
-            return
         futures = self.submit_batch(base, columns, y, base_token=base_token)
         try:
             for future in futures:
                 yield future.result()
         finally:
             self._flush_writes()
+
+    iter_scores = iter_scores_async
 
     def _dispatch_missing(
         self,
@@ -1062,42 +959,17 @@ class EvaluationService:
         """Score cache misses on the persistent shared-memory pool.
 
         The base matrix is published once per token; each submission
-        ships only its candidate column.  A submission that dies with
-        a worker (or errors worker-side) is re-scored serially in the
-        parent and counted in ``stats.n_backend_fallbacks`` — the
-        batch always completes.  A submission exceeding the service's
-        ``timeout`` deadline is cancelled (the hung worker generation
-        is replaced), counted in ``stats.n_timeouts``, and re-scored
-        serially the same way.
+        ships only its candidate column.  :meth:`_await_pool` collects
+        each score, so a crashed, failed or timed-out submission is
+        re-scored serially and counted — the batch always completes.
         """
-        from .executor import TaskFailed, TaskLost, TaskTimeout
-
         executor = self._ensure_executor()
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         seqs = [
             executor.submit(token, base, target_token, y, columns[index])
             for index in missing
         ]
-        scores: list[float] = []
-        for seq, index in zip(seqs, missing):
-            try:
-                score, seconds = self._pool_result(
-                    executor,
-                    seq,
-                    resubmit=lambda index=index: executor.submit(
-                        token, base, target_token, y, columns[index]
-                    ),
-                )
-            except (TaskLost, TaskFailed) as error:
-                if isinstance(error, TaskTimeout):
-                    self.stats.n_timeouts += 1
-                else:
-                    self.stats.n_backend_fallbacks += 1
-                score = self._score_missing_serial(
-                    base, token, columns, [index], y
-                )[0]
-            else:
-                self.evaluator.n_evaluations += 1
-                self.evaluator.total_eval_time += seconds
-            scores.append(score)
-        return scores
+        return [
+            self._await_pool(seq, base, token, target_token, columns[index], y)
+            for seq, index in zip(seqs, missing)
+        ]

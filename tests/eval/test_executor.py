@@ -3,6 +3,7 @@
 import glob
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -257,11 +258,21 @@ class TestBackendEquivalence:
         )
         with service:
             held = service.submit_batch(base, columns[:3], task.y)
-            # A second batch triggers the speculative drain of the first.
+            deadline = time.monotonic() + 60.0
+            while not all(future.done() for future in held):
+                assert time.monotonic() < deadline, "pool never completed"
+                time.sleep(0.01)
+            # A second batch triggers the speculative drain of the first,
+            # which consumes all three completions.
             service.score_batch(
                 base, [column + 5.0 for column in columns], task.y
             )
+            fits = service.evaluator.n_evaluations
+            assert fits == 3 + len(columns)
+            # The drain resolved the held futures in place: no second fit.
             assert [future.result() for future in held] == expected[:3]
+            assert service.evaluator.n_evaluations == fits
+            assert service.stats.n_backend_fallbacks == 0
 
     def test_future_resolves_after_service_close(self):
         # Regression: resolving a pool future after close() raised
@@ -274,7 +285,10 @@ class TestBackendEquivalence:
         )
         held = service.submit_batch(base, columns, task.y)
         service.close()
+        assert service.evaluator.n_evaluations == len(columns)
         assert [future.result() for future in held] == expected
+        assert service.evaluator.n_evaluations == len(columns)
+        assert service.stats.n_backend_fallbacks == 0
 
     def test_worker_crash_resubmits_and_batch_completes(self):
         task, base, columns = _workload(seed=10)

@@ -152,6 +152,34 @@ class TestScoreBatch:
                 EvaluationService(_evaluator(), backend=backend)
 
 
+class TestStreaming:
+    def test_serial_stream_pays_only_for_consumed_items(self):
+        task = make_classification(n_samples=90, n_features=4, seed=5)
+        base, columns = _candidates(task)
+        reference = EvaluationService(_evaluator(), cache=None)
+        expected = reference.score_batch(base, columns[:1], task.y)
+        service = EvaluationService(_evaluator(), cache=EvaluationCache())
+        stream = service.iter_scores_async(base, columns, task.y)
+        assert next(stream) == expected[0]
+        stream.close()
+        assert service.evaluator.n_evaluations == 1
+        assert service.stats.n_cache_misses == 1
+        assert service.stats.n_cache_hits == 0
+
+    def test_serial_stream_matches_score_batch(self):
+        task = make_classification(n_samples=90, n_features=4, seed=6)
+        base, columns = _candidates(task)
+        columns = columns + [columns[0]]  # one in-batch duplicate
+        batch = EvaluationService(_evaluator(), cache=EvaluationCache())
+        stream = EvaluationService(_evaluator(), cache=EvaluationCache())
+        expected = batch.score_batch(base, columns, task.y)
+        assert list(stream.iter_scores_async(base, columns, task.y)) == expected
+        for service in (batch, stream):
+            assert service.stats.n_cache_hits == 1
+            assert service.stats.n_cache_misses == len(columns) - 1
+            assert service.evaluator.n_evaluations == len(columns) - 1
+
+
 class TestSharedCache:
     def test_cache_shared_across_services(self):
         task = make_classification(n_samples=80, n_features=4, seed=9)

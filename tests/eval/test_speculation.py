@@ -161,24 +161,6 @@ class TestServiceSpeculation:
             service.commit_speculative(futures)
             assert [future.result() for future in futures] == expected
 
-    def test_drained_eviction_counted_and_warned_once(self):
-        task, base, columns = _workload(n=4, seed=24)
-        serial = EvaluationService(_evaluator(), cache=None, backend="serial")
-        expected = serial.score_batch(base, columns, task.y)
-        service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
-        )
-        service._DRAINED_CAPACITY = 2
-        futures = service.submit_batch(base, columns, task.y)
-        with pytest.warns(RuntimeWarning, match="drained-score buffer"):
-            service.close()  # drains all four; two overflow the bound
-        assert service.stats.n_drained_evictions == 2
-        # An evicted future is still resolvable — at the price of a
-        # duplicate serial fit, counted as a backend fallback.
-        fallbacks_before = service.stats.n_backend_fallbacks
-        assert futures[0].result() == expected[0]
-        assert service.stats.n_backend_fallbacks == fallbacks_before + 1
-
 
 class TestCrashWithSpeculationInFlight:
     def test_recovery_rescores_serially_without_double_counting(self):
@@ -279,7 +261,6 @@ class TestEngineSpeculation:
             "n_speculative_submitted",
             "n_speculative_used",
             "n_speculative_discarded",
-            "n_drained_evictions",
             "pool_workers",
             "pool_peak_inflight",
             "pool_occupancy",
