@@ -69,7 +69,7 @@ class EngineConfig:
     patience: int | None = None  # early stop after N epochs w/o improvement
     eval_cache: bool = True  # memoize downstream scores by fingerprint
     eval_backend: str = "serial"  # scoring backend: "serial"|"pool"
-    eval_workers: int | None = None  # pool worker count
+    eval_workers: int | None = None  # worker count ("pool" only)
     # (None: every core; REPRO_EVAL_WORKERS overrides the default)
     eval_store_path: str | None = None  # durable shared score store
     # (SQLite file; None falls back to the REPRO_EVAL_STORE env var,
@@ -83,7 +83,7 @@ class EngineConfig:
     # benches).  "off" keeps scoring exactly full-CV — bit-identical
     # trajectories to every PR before the fidelity ladder existed.
     eval_timeout: float | None = None  # per-fit deadline, seconds
-    # ("pool" backend only; None falls back to REPRO_EVAL_TIMEOUT, and
+    # ("pool" only; None falls back to REPRO_EVAL_TIMEOUT, and
     # unset means wait forever.  A fit over deadline is cancelled, the
     # worker generation replaced, and the candidate re-scored serially
     # — counted in AFEResult.n_timeouts.  Execution-only: excluded
@@ -114,6 +114,13 @@ class EngineConfig:
                 raise ValueError(
                     "eval_timeout must be a positive number of seconds "
                     f"or None, got {self.eval_timeout!r}"
+                )
+        # Reject knobs the chosen backend never reads.
+        for knob in ("eval_workers", "eval_timeout"):
+            if getattr(self, knob) is not None and self.eval_backend != "pool":
+                raise ValueError(
+                    f"{knob} is only read by eval_backend='pool', "
+                    f"got eval_backend={self.eval_backend!r}"
                 )
         # Validate the fidelity spec eagerly (fail at configuration
         # time, not mid-run).  Lazy import: repro.fidelity sits above

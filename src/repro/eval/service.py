@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,62 +101,95 @@ class EvalStats:
     """Per-service scoring accounting: the one counter record.
 
     ``AFEResult.stats`` is this record (its counters also read as flat
-    ``AFEResult`` attributes), so a new counter is one field here.
-    ``n_near_duplicates`` counts cache *misses* whose quantile-sketch
-    bucket had already been seen for a different column — candidates
-    that paid a real fit despite being distribution-near-duplicates of
-    an earlier one.  It is the headroom measurement for approximate
-    (surrogate-score) reuse.
+    ``AFEResult`` attributes), so a new counter is one field here.  A
+    field whose metadata carries a ``help`` string is exported by
+    :mod:`repro.eval.metrics` as ``repro_eval_<name>_total`` (the
+    ``n_`` prefix dropped).
+
+    Every submission is exactly one of a cache hit, a cache miss, or a
+    surrogate serve: ``n_cache_hits + n_cache_misses +
+    n_surrogate_served == submissions`` (the invariant the throughput
+    benchmark asserts).  Every speculation is later either committed or
+    rolled back, so ``n_speculative_submitted == n_speculative_used +
+    n_speculative_discarded`` at the end of a run.
     """
 
-    n_cache_hits: int = 0
-    n_cache_misses: int = 0
-    n_batches: int = 0
-    n_near_duplicates: int = 0
-    #: Times candidate scoring fell back to the serial path because a
-    #: pool submission failed (worker crash, worker-side scoring
-    #: error).  Non-zero means the run was correct but slower than
-    #: configured — previously this degradation was silent.
-    n_backend_fallbacks: int = 0
-    #: Pool fits cancelled for overrunning their ``eval_timeout``
-    #: deadline; each was re-scored serially in the parent (so the run
-    #: stayed correct), and the hung worker generation was replaced.
-    n_timeouts: int = 0
-    #: Speculative-tier accounting (the engine's cross-agent sweep
-    #: pipelining).  ``submitted`` counts futures created with
-    #: ``submit_batch(..., speculative=True)``; every speculation is
-    #: later either committed (``used``: the base matrix did not
-    #: change, the scores are consumed as real work) or rolled back
-    #: (``discarded``: an acceptance invalidated the base they were
-    #: scored against), so ``submitted == used + discarded`` at the
-    #: end of a run.  Discarded counts *invalidated futures*, an upper
-    #: bound on waste: discards cancelled before reaching a worker pay
-    #: no fit, and discards that did fit still land in the cache.
-    n_speculative_submitted: int = 0
-    n_speculative_used: int = 0
-    n_speculative_discarded: int = 0
-    #: Pool-occupancy observability: worker count of the persistent
-    #: pool and the high-water mark of concurrently outstanding
-    #: submissions (dispatched + backlogged).
+    n_cache_hits: int = field(
+        default=0,
+        metadata={"help": "Candidate score lookups served from the cache."},
+    )
+    n_cache_misses: int = field(
+        default=0,
+        metadata={"help": "Candidate score lookups that required evaluation."},
+    )
+    n_batches: int = field(
+        default=0, metadata={"help": "Candidate batches scored."}
+    )
+    #: Near-duplicates paid a real fit despite matching an earlier
+    #: column's distribution: the headroom for surrogate-score reuse.
+    n_near_duplicates: int = field(
+        default=0,
+        metadata={"help": "Cache misses whose quantile-sketch bucket was "
+                          "already seen."},
+    )
+    n_backend_fallbacks: int = field(
+        default=0,
+        metadata={"help": "Parallel-backend failures recovered by serial "
+                          "re-scoring."},
+    )
+    #: A timed-out fit is re-scored serially in the parent (the run
+    #: stays correct) and the hung worker generation is replaced.
+    n_timeouts: int = field(
+        default=0,
+        metadata={"help": "Pool fits cancelled at their eval_timeout "
+                          "deadline."},
+    )
+    n_speculative_submitted: int = field(
+        default=0,
+        metadata={"help": "Cross-sweep speculative submissions."},
+    )
+    n_speculative_used: int = field(
+        default=0,
+        metadata={"help": "Speculative submissions committed as real work."},
+    )
+    #: An upper bound on waste: discards cancelled before reaching a
+    #: worker pay no fit, and discards that did fit still land in the
+    #: cache.
+    n_speculative_discarded: int = field(
+        default=0,
+        metadata={"help": "Speculative submissions invalidated by an "
+                          "acceptance."},
+    )
+    #: Worker count of the persistent pool and the high-water mark of
+    #: concurrently outstanding submissions (dispatched + backlogged).
     pool_workers: int = 0
     pool_peak_inflight: int = 0
-    #: Multi-fidelity accounting (zero unless ``eval_fidelity`` is on).
-    #: Every submission is exactly one of a cache hit, a cache miss, or
-    #: a surrogate serve: ``n_cache_hits + n_cache_misses +
-    #: n_surrogate_served == submissions`` (the invariant the
-    #: throughput benchmark asserts).
-    #: ``n_lowfi_scored`` counts misses that paid a rung-0 estimate,
-    #: ``n_promoted`` the subset re-scored at full CV;
-    #: ``n_surrogate_fallbacks`` counts candidates whose sketch bucket
-    #: was known but too uncertain to serve, so they fell back to a
-    #: real evaluation.  ``n_audited`` approximate results additionally
-    #: paid a full-CV fit whose absolute delta against the reported
-    #: score accumulates in ``fidelity_regret_total``.
-    n_lowfi_scored: int = 0
-    n_promoted: int = 0
-    n_surrogate_served: int = 0
-    n_surrogate_fallbacks: int = 0
-    n_audited: int = 0
+    n_lowfi_scored: int = field(
+        default=0,
+        metadata={"help": "Candidates scored at rung 0 of the fidelity "
+                          "ladder."},
+    )
+    n_promoted: int = field(
+        default=0,
+        metadata={"help": "Rung-0 candidates promoted to full "
+                          "cross-validation."},
+    )
+    n_surrogate_served: int = field(
+        default=0,
+        metadata={"help": "Candidates served from the fitted surrogate "
+                          "(no fit paid)."},
+    )
+    n_surrogate_fallbacks: int = field(
+        default=0,
+        metadata={"help": "Known-but-uncertain surrogate buckets that fell "
+                          "back to real CV."},
+    )
+    n_audited: int = field(
+        default=0,
+        metadata={"help": "Approximate results audited against a full-CV "
+                          "fit."},
+    )
+    #: Sum of |full-CV − reported| over the audited results.
     fidelity_regret_total: float = 0.0
 
     @property

@@ -9,21 +9,16 @@ site).  Rendered by the serve layer's ``/metrics`` endpoint alongside
 from __future__ import annotations
 
 from ..chaos import active, fault_counts
+from ..obs import render
 from .retry import registered_policies
 
 __all__ = ["reliability_metrics_text"]
 
 
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and not value.is_integer():
-        return repr(value)
-    return str(int(value))
-
-
 def reliability_metrics_text() -> str:
     """Render retry + chaos counters in Prometheus text format."""
-    retries: dict[str, float] = {}
-    giveups: dict[str, float] = {}
+    retries: dict[str, int] = {}
+    giveups: dict[str, int] = {}
     slept: dict[str, float] = {}
     for policy in registered_policies():
         retries[policy.name] = retries.get(policy.name, 0) + policy.n_retries
@@ -31,49 +26,19 @@ def reliability_metrics_text() -> str:
         slept[policy.name] = (
             slept.get(policy.name, 0.0) + policy.slept_seconds
         )
-    lines = []
-    series = (
-        (
-            "repro_reliability_retries_total",
-            "counter",
-            "Retries performed, by policy name.",
-            retries,
-        ),
-        (
-            "repro_reliability_giveups_total",
-            "counter",
-            "Retry-budget exhaustions, by policy name.",
-            giveups,
-        ),
-        (
-            "repro_reliability_retry_sleep_seconds_total",
-            "counter",
-            "Total backoff sleep, by policy name.",
-            slept,
-        ),
-    )
-    for metric, kind, help_text, values in series:
-        lines.append(f"# HELP {metric} {help_text}")
-        lines.append(f"# TYPE {metric} {kind}")
-        for name in sorted(values):
-            lines.append(
-                f'{metric}{{policy="{name}"}} {_fmt(values[name])}'
-            )
-    lines.append(
-        "# HELP repro_reliability_chaos_active "
-        "1 when a REPRO_FAULTS plan is installed."
-    )
-    lines.append("# TYPE repro_reliability_chaos_active gauge")
-    lines.append(f"repro_reliability_chaos_active {int(active())}")
-    fired = fault_counts()
-    lines.append(
-        "# HELP repro_reliability_faults_injected_total "
-        "Chaos faults fired, by site."
-    )
-    lines.append("# TYPE repro_reliability_faults_injected_total counter")
-    for site in sorted(fired):
-        lines.append(
-            "repro_reliability_faults_injected_total"
-            f'{{site="{site}"}} {_fmt(fired[site])}'
-        )
-    return "\n".join(lines) + "\n"
+
+    def by(label: str, values: dict) -> list:
+        return [({label: key}, values[key]) for key in sorted(values)]
+
+    return render((
+        ("repro_reliability_retries_total", "counter",
+         "Retries performed, by policy name.", by("policy", retries)),
+        ("repro_reliability_giveups_total", "counter",
+         "Retry-budget exhaustions, by policy name.", by("policy", giveups)),
+        ("repro_reliability_retry_sleep_seconds_total", "counter",
+         "Total backoff sleep, by policy name.", by("policy", slept)),
+        ("repro_reliability_chaos_active", "gauge",
+         "1 when a REPRO_FAULTS plan is installed.", [({}, int(active()))]),
+        ("repro_reliability_faults_injected_total", "counter",
+         "Chaos faults fired, by site.", by("site", fault_counts())),
+    ))

@@ -52,6 +52,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from ..chaos import FaultInjected, fault_counts, maybe_fault
+from ..obs import render
 from ..reliability import registered_policies, reliability_metrics_text
 from .pipeline import FeaturePipeline
 from .registry import PlanIntegrityError, PlanNotFound
@@ -64,18 +65,6 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 _JSON_TYPE = "application/json"
 #: Prometheus text exposition format, as scrapers expect it.
 _PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
-def _prometheus_label(value: str) -> str:
-    """Escape a label value per the Prometheus text format."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _prometheus_float(value: float) -> str:
-    """Exact-round-trip rendering, consistent with the JSON endpoints."""
-    return repr(float(value))
 
 
 class ServeApp:
@@ -202,80 +191,63 @@ class ServeApp:
         return status, json.dumps(document).encode("utf-8"), _JSON_TYPE
 
     def metrics_text(self) -> str:
-        """Serving + evaluation counters in Prometheus text format.
+        """Serving, evaluation and reliability counters, Prometheus text.
 
         ``repro_serve_*`` series cover the serving layer (per-plan
-        labels); the README's naming convention puts search-side
-        evaluation counters under ``repro_eval_*``, appended here from
-        :func:`repro.eval.metrics.eval_metrics_text` — they aggregate
-        over evaluation services live in this process (all zeros in a
-        pure serving process, populated when the process also runs
-        searches).
+        labels).  Appended are :func:`repro.eval.metrics.eval_metrics_text`
+        — ``repro_eval_*`` aggregated over evaluation services live in
+        this process (all zeros in a pure serving process) — and
+        :func:`repro.reliability.reliability_metrics_text`.  All three
+        render through :func:`repro.obs.render`.
         """
-        lines = [
-            "# HELP repro_serve_plans Number of serveable plans.",
-            "# TYPE repro_serve_plans gauge",
-            f"repro_serve_plans {self.service.n_plans()}",
-        ]
-        series = (
-            ("requests_total", "counter", "Transform requests served.",
-             lambda s: str(s.n_requests)),
-            ("rows_total", "counter", "Rows transformed.",
-             lambda s: str(s.n_rows)),
-            ("compiles_total", "counter", "Plan compilations performed.",
-             lambda s: str(s.n_compiles)),
-            ("cache_hits_total", "counter",
-             "Requests served from the compiled-plan cache.",
-             lambda s: str(s.n_cache_hits)),
-            ("seconds_total", "counter",
-             "Seconds spent inside plan transforms.",
-             lambda s: _prometheus_float(s.total_seconds)),
-        )
         stats = self.service.stats()
-        for suffix, kind, help_text, render in series:
-            name = f"repro_serve_{suffix}"
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            for ref in sorted(stats):
-                label = _prometheus_label(ref)
-                lines.append(f'{name}{{plan="{label}"}} {render(stats[ref])}')
+
+        def per_plan(value) -> list:
+            return [({"plan": r}, value(stats[r])) for r in sorted(stats)]
+
         degraded = bool(
             getattr(self.service, "degraded", False) or not self.watchdog_ok
         )
-        lifecycle = (
-            ("degraded", "gauge",
+        families = (
+            ("repro_serve_plans", "gauge", "Number of serveable plans.",
+             [({}, self.service.n_plans())]),
+            ("repro_serve_requests_total", "counter",
+             "Transform requests served.", per_plan(lambda s: s.n_requests)),
+            ("repro_serve_rows_total", "counter", "Rows transformed.",
+             per_plan(lambda s: s.n_rows)),
+            ("repro_serve_compiles_total", "counter",
+             "Plan compilations performed.",
+             per_plan(lambda s: s.n_compiles)),
+            ("repro_serve_cache_hits_total", "counter",
+             "Requests served from the compiled-plan cache.",
+             per_plan(lambda s: s.n_cache_hits)),
+            ("repro_serve_seconds_total", "counter",
+             "Seconds spent inside plan transforms.",
+             per_plan(lambda s: s.total_seconds)),
+            ("repro_serve_degraded", "gauge",
              "1 when serving stale plans (registry errors or failed "
-             "watchdog canary), 0 when healthy.",
-             str(int(degraded))),
-            ("draining", "gauge",
+             "watchdog canary), 0 when healthy.", [({}, int(degraded))]),
+            ("repro_serve_draining", "gauge",
              "1 while the server refuses new work pending shutdown.",
-             str(int(self._draining.is_set()))),
-            ("degraded_serves_total", "counter",
+             [({}, int(self._draining.is_set()))]),
+            ("repro_serve_degraded_serves_total", "counter",
              "Requests answered from the compiled-plan cache while the "
              "registry backend was failing.",
-             str(getattr(self.service, "n_degraded_serves", 0))),
-            ("registry_errors_total", "counter",
+             [({}, getattr(self.service, "n_degraded_serves", 0))]),
+            ("repro_serve_registry_errors_total", "counter",
              "Registry backend errors absorbed by degraded serving.",
-             str(getattr(self.service, "n_registry_errors", 0))),
-            ("handle_faults_total", "counter",
+             [({}, getattr(self.service, "n_registry_errors", 0))]),
+            ("repro_serve_handle_faults_total", "counter",
              "Injected serve.handle faults surfaced as HTTP 500.",
-             str(self.n_handle_faults)),
-            ("watchdog_failures_total", "counter",
+             [({}, self.n_handle_faults)]),
+            ("repro_serve_watchdog_failures_total", "counter",
              "Watchdog canary round-trips that failed.",
-             str(self.n_watchdog_failures)),
+             [({}, self.n_watchdog_failures)]),
         )
-        for suffix, kind, help_text, value in lifecycle:
-            name = f"repro_serve_{suffix}"
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name} {value}")
         from ..eval.metrics import eval_metrics_text
 
         return (
-            "\n".join(lines)
-            + "\n"
-            + eval_metrics_text()
-            + reliability_metrics_text()
+            render(families) + eval_metrics_text() + reliability_metrics_text()
         )
 
     def handle(self, method: str, path: str, body: dict | None) -> tuple[int, dict]:

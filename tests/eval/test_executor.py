@@ -352,7 +352,7 @@ class TestEngineTrajectoryIdentity:
                 n_estimators=3,
                 seed=0,
                 eval_backend=backend,
-                eval_workers=2,
+                eval_workers=2 if backend == "pool" else None,
             )
             return AFEEngine(KeepAllFilter(), config).fit(task)
 

@@ -206,7 +206,8 @@ class TestWorkerValidation:
         for bad in (0, -4, 2.0):
             with pytest.raises(ValueError, match="eval_workers"):
                 EngineConfig(eval_workers=bad)
-        assert EngineConfig(eval_workers=2).eval_workers == 2
+        config = EngineConfig(eval_backend="pool", eval_workers=2)
+        assert config.eval_workers == 2
 
     def test_service_validates_n_workers(self):
         with pytest.raises(ValueError, match="n_workers"):
@@ -228,7 +229,7 @@ class TestEngineSpeculation:
                 n_estimators=3,
                 seed=1,
                 eval_backend=backend,
-                eval_workers=2,
+                eval_workers=2 if backend == "pool" else None,
                 eval_speculation=speculation,
             )
             # A stateful filter exercises the filter-RNG rollback path.

@@ -80,7 +80,8 @@ class TestEnvParsing:
 class TestEngineConfigValidation:
     def test_accepts_positive_and_none(self):
         assert EngineConfig().eval_timeout is None
-        assert EngineConfig(eval_timeout=2.5).eval_timeout == 2.5
+        config = EngineConfig(eval_backend="pool", eval_timeout=2.5)
+        assert config.eval_timeout == 2.5
 
     def test_rejects_non_positive(self):
         for bad in (0, -1.0, True, "2"):
@@ -91,8 +92,13 @@ class TestEngineConfigValidation:
         from repro.store import config_hash
 
         assert config_hash(EngineConfig()) == config_hash(
-            EngineConfig(eval_timeout=2.5)
+            EngineConfig(eval_backend="pool", eval_timeout=2.5)
         )
+
+    def test_rejects_pool_knobs_on_serial(self):
+        for knob, value in (("eval_timeout", 2.5), ("eval_workers", 2)):
+            with pytest.raises(ValueError, match=f"{knob} is only read"):
+                EngineConfig(eval_backend="serial", **{knob: value})
 
 
 class TestDeadlineEnforcement:

@@ -305,7 +305,15 @@ class TestPrometheusMetrics:
         assert reported == service.stats("pinned").total_seconds
 
     def test_label_escaping(self):
+        from repro.reliability import RetryPolicy
+
         app = ServeApp(TransformService())
         app.service.add_plan(_plan(), 'we"ird\\name')
+        # Held in a local: the policy registry is weak.
+        policy = RetryPolicy(name='we"ird\\name', budget=None)  # noqa: F841
         text = app.metrics_text()
         assert 'plan="we\\"ird\\\\name"' in text
+        assert (
+            'repro_reliability_retries_total{policy="we\\"ird\\\\name"} 0'
+            in text
+        )
