@@ -13,6 +13,7 @@ from .harness import (
     resume_enabled,
     run_methods,
     run_single,
+    set_run_store,
 )
 from .multi_seed import SeedSweep, format_seed_sweep, run_multi_seed
 from .stats import improvement_pvalues, paired_pvalue
@@ -26,6 +27,7 @@ __all__ = [
     "make_method",
     "active_run_store",
     "resume_enabled",
+    "set_run_store",
     "run_single",
     "run_methods",
     "format_table",

@@ -27,15 +27,12 @@ on N hosts pointed at one store drain one sweep concurrently.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ..api.registry import searcher_registry
 from ..core.pretrain import default_fpe
-from ..store.backends import EVAL_STORE_ENV
-from ..store.runs import RUN_RESUME_ENV, RUN_STORE_ENV
 from . import experiments
-from .harness import bench_profile
+from .harness import bench_profile, set_run_store
 
 #: experiment name -> (runner kwargs builder, formatter, needs_fpe)
 _EXPERIMENTS = {
@@ -224,22 +221,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--resume requires --store")
     if args.worker and not args.store:
         parser.error("--worker requires --store")
-    previous_env: dict[str, str | None] = {}
-
-    def set_env(name: str, value: str) -> None:
-        previous_env.setdefault(name, os.environ.get(name))
-        os.environ[name] = value
-
-    if args.store:
-        # The harness and every engine it builds read these env knobs;
-        # one file backs both the run rows and the score cache (an
-        # explicitly exported REPRO_EVAL_STORE still wins).  Every
-        # change is rolled back on exit so programmatic back-to-back
-        # main() calls never inherit a previous invocation's store.
-        set_env(RUN_STORE_ENV, args.store)
-        if not os.environ.get(EVAL_STORE_ENV):
-            set_env(EVAL_STORE_ENV, args.store)
-        set_env(RUN_RESUME_ENV, "1" if args.resume else "0")
+    # One file backs both the run rows and the score cache (see
+    # bench_config); the previous store is restored on exit so
+    # back-to-back main() calls never inherit this invocation's store.
+    previous_store = set_run_store(args.store, args.resume)
     try:
         if args.experiment == "list":
             for name in sorted(_EXPERIMENTS):
@@ -309,11 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         print(formatter(result))
         return 0
     finally:
-        for name, value in previous_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        set_run_store(*previous_store)
 
 
 if __name__ == "__main__":

@@ -9,20 +9,29 @@ identical across experiments.  Two scale profiles exist:
 * ``paper`` — the paper's hyperparameters (200 epochs, full sizes);
   only for manual runs with hours of budget.
 
-Set ``REPRO_BENCH_PROFILE=paper`` to switch.  ``REPRO_EVAL_BACKEND``
-(``serial``/``pool``) selects the candidate-scoring backend of the
-:mod:`repro.eval` service for every method built by the harness
-(``REPRO_EVAL_WORKERS`` sizes the pool), and
-``REPRO_EVAL_CACHE=0`` disables score memoization.
-``REPRO_EVAL_SPECULATION=0`` turns off the pool backend's cross-agent
-sweep speculation (on by default; a no-op on ``serial``).
+Set ``REPRO_BENCH_PROFILE=paper`` to switch.  :func:`bench_config` is
+the one place that turns ``REPRO_EVAL_*`` environment variables into
+:class:`~repro.core.engine.EngineConfig` fields, so every bench knob is
+validated like an explicit argument (a knob the chosen backend never
+reads is rejected):
+
+* ``REPRO_EVAL_BACKEND`` — ``serial`` (default) or ``pool``;
+* ``REPRO_EVAL_WORKERS`` — pool size (``pool`` only);
+* ``REPRO_EVAL_TIMEOUT`` — per-fit deadline in seconds (``pool`` only;
+  empty or ``0`` disables);
+* ``REPRO_EVAL_CACHE=0`` — disable score memoization;
+* ``REPRO_EVAL_SPECULATION=0`` — turn off the pool backend's
+  cross-agent sweep speculation;
+* ``REPRO_EVAL_STORE`` — durable score store; unset, the active run
+  store's file (:func:`set_run_store`) backs the scores too;
+* ``REPRO_EVAL_FIDELITY`` — multi-fidelity spec (default ``off``),
+  e.g. ``ladder+surrogate``.
+
 Scores are identical across backends, but the ``pool`` backend
 prefetches sweeps speculatively, so evaluation-*count* tables
 (Table IV, Figure 9) are paper-comparable only under the default
-``serial`` backend.  ``REPRO_EVAL_FIDELITY`` (default ``off``) sets
-the multi-fidelity spec — e.g. ``ladder+surrogate`` — and *does*
-change reported scores, so fidelity-on sweeps hash into their own
-run-store cells.
+``serial`` backend.  A fidelity spec *does* change reported scores, so
+fidelity-on sweeps hash into their own run-store cells.
 """
 
 from __future__ import annotations
@@ -36,11 +45,11 @@ from ..api.plan import FeaturePlan, fpe_identity
 from ..api.registry import searcher_registry
 from ..core.engine import AFEResult, EngineConfig
 from ..eval import BACKENDS as EVAL_BACKENDS
+from ..eval import validate_eval_timeout, validate_eval_workers
 from ..core.fpe import FPEModel
 from ..datasets.generators import TabularTask
 from ..datasets.registry import load as load_dataset
 from ..store import RunStore, config_hash
-from ..store.runs import RUN_RESUME_ENV, RUN_STORE_ENV
 
 __all__ = [
     "ALL_METHODS",
@@ -55,6 +64,7 @@ __all__ = [
     "run_methods",
     "format_table",
     "set_cell_sink",
+    "set_run_store",
 ]
 
 #: Table III column order (paper aliases in parentheses).
@@ -91,8 +101,20 @@ def bench_eval_backend() -> str:
     return backend
 
 
+def _env_number(variable: str, parse, validate):
+    """One numeric ``REPRO_EVAL_*`` knob, parsed and validated (unset: None)."""
+    raw = os.environ.get(variable)
+    if not raw:
+        return None
+    try:
+        value = parse(raw)
+    except ValueError:
+        value = raw  # not a number: the validator rejects it by name
+    return validate(value, name=variable)
+
+
 def bench_config(seed: int = 0, **overrides) -> EngineConfig:
-    """Engine configuration for the active profile."""
+    """Engine configuration for the active profile and ``REPRO_EVAL_*``."""
     if bench_profile() == "paper":
         params = dict(
             n_epochs=200,
@@ -119,8 +141,16 @@ def bench_config(seed: int = 0, **overrides) -> EngineConfig:
         os.environ.get("REPRO_EVAL_SPECULATION", "1") != "0"
     )
     params["eval_fidelity"] = os.environ.get("REPRO_EVAL_FIDELITY", "off")
-    # The per-fit deadline is resolved by the EvaluationService itself
-    # (REPRO_EVAL_TIMEOUT), so the config only carries an explicit one.
+    params["eval_workers"] = _env_number(
+        "REPRO_EVAL_WORKERS", int, validate_eval_workers
+    )
+    params["eval_timeout"] = _env_number(
+        "REPRO_EVAL_TIMEOUT", lambda raw: float(raw) or None,
+        validate_eval_timeout,
+    )
+    params["eval_store_path"] = (
+        os.environ.get("REPRO_EVAL_STORE") or _RUN_STORE[0]
+    )
     params.update(overrides)
     return EngineConfig(**params)
 
@@ -145,11 +175,33 @@ def make_method(name: str, config: EngineConfig, fpe: FPEModel | None = None):
 
 _RUN_STORES: dict[str, RunStore] = {}
 
+#: (path, resume) of the run store bench ``--store`` / the fleet
+#: leader installed; see :func:`set_run_store`.
+_RUN_STORE: tuple[str | None, bool] = (None, False)
+
+
+def set_run_store(
+    path: str | None, resume: bool = False
+) -> tuple[str | None, bool]:
+    """Install (or clear, with ``None``) the run store :func:`run_single`
+    uses when no store is passed explicitly.
+
+    ``resume`` replays already-completed cells instead of re-running
+    them.  Returns the previous ``(path, resume)`` pair so callers can
+    restore it with ``set_run_store(*previous)`` (``try/finally``).
+    While a store is installed, :func:`bench_config` also points the
+    score cache at its file unless ``REPRO_EVAL_STORE`` names another.
+    """
+    global _RUN_STORE
+    previous = _RUN_STORE
+    _RUN_STORE = (path or None, bool(resume))
+    return previous
+
 
 def active_run_store() -> RunStore | None:
-    """RunStore named by ``REPRO_RUN_STORE`` (set by bench ``--store``)."""
-    path = os.environ.get(RUN_STORE_ENV)
-    if not path:
+    """The RunStore installed by :func:`set_run_store`, if any."""
+    path = _RUN_STORE[0]
+    if path is None:
         return None
     store = _RUN_STORES.get(path)
     if store is None:
@@ -160,7 +212,7 @@ def active_run_store() -> RunStore | None:
 
 def resume_enabled() -> bool:
     """Whether completed run-store cells should be replayed, not re-run."""
-    return os.environ.get(RUN_RESUME_ENV, "0") != "0"
+    return _RUN_STORE[1]
 
 
 #: When set, :func:`run_single` routes not-yet-completed cells to this
@@ -230,10 +282,10 @@ def run_single(
 ) -> AFEResult:
     """Run one (dataset, method, seed) cell, through the run store if active.
 
-    With a store (explicit or via ``REPRO_RUN_STORE``), the cell is
-    marked running before the fit and its full result payload is
-    persisted on completion.  With resume enabled (explicit or via
-    ``REPRO_RUN_RESUME``), an already-completed cell is replayed
+    With a store (explicit or installed by :func:`set_run_store`), the
+    cell is marked running before the fit and its full result payload
+    is persisted on completion.  With resume enabled (explicit or
+    installed), an already-completed cell is replayed
     straight from the store — bit-identical, zero fits — which is what
     lets a killed sweep continue where it left off.
 
@@ -254,7 +306,7 @@ def run_single(
         if store is None:
             raise RuntimeError(
                 "a fleet enqueue pass needs an active run store "
-                "(--store / REPRO_RUN_STORE)"
+                "(--store / set_run_store)"
             )
         cell_hash = f"{config_hash(config)}|fpe:{_fpe_token(fpe)}"
         payload = store.completed_payload(

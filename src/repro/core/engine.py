@@ -31,6 +31,7 @@ from ..eval import (
     BACKENDS,
     EvalStats,
     EvaluationService,
+    validate_eval_timeout,
     validate_eval_workers,
 )
 from ..store import make_eval_backend
@@ -69,25 +70,22 @@ class EngineConfig:
     patience: int | None = None  # early stop after N epochs w/o improvement
     eval_cache: bool = True  # memoize downstream scores by fingerprint
     eval_backend: str = "serial"  # scoring backend: "serial"|"pool"
-    eval_workers: int | None = None  # worker count ("pool" only)
-    # (None: every core; REPRO_EVAL_WORKERS overrides the default)
+    eval_workers: int | None = None  # worker count ("pool" only;
+    # None: every core)
     eval_store_path: str | None = None  # durable shared score store
-    # (SQLite file; None falls back to the REPRO_EVAL_STORE env var,
-    # and an unset env var means a per-process in-memory cache)
+    # (SQLite file; None: a per-process in-memory cache)
     eval_speculation: bool = True  # pipeline the next agent's sweep
     # behind the in-flight one ("pool" backend only; trajectories stay
     # bit-identical to serial — mispredictions are rolled back)
     eval_fidelity: str = "off"  # multi-fidelity spec, e.g.
     # "ladder", "surrogate", "ladder+surrogate:promote=0.25,rows=0.5"
-    # (see repro.fidelity.FidelitySpec; REPRO_EVAL_FIDELITY sets it for
-    # benches).  "off" keeps scoring exactly full-CV — bit-identical
-    # trajectories to every PR before the fidelity ladder existed.
+    # (see repro.fidelity.FidelitySpec).  "off" keeps scoring exactly
+    # full-CV — trajectories bit-identical to a run without the ladder.
     eval_timeout: float | None = None  # per-fit deadline, seconds
-    # ("pool" only; None falls back to REPRO_EVAL_TIMEOUT, and
-    # unset means wait forever.  A fit over deadline is cancelled, the
-    # worker generation replaced, and the candidate re-scored serially
-    # — counted in AFEResult.n_timeouts.  Execution-only: excluded
-    # from the run-store config hash.)
+    # ("pool" only; None waits forever.  A fit over deadline is
+    # cancelled, the worker generation replaced, and the candidate
+    # re-scored serially — counted in AFEResult.n_timeouts.
+    # Execution-only: excluded from the run-store config hash.)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -105,16 +103,7 @@ class EngineConfig:
                 f"got {self.eval_backend!r}"
             )
         validate_eval_workers(self.eval_workers)
-        if self.eval_timeout is not None:
-            if (
-                isinstance(self.eval_timeout, bool)
-                or not isinstance(self.eval_timeout, (int, float))
-                or self.eval_timeout <= 0
-            ):
-                raise ValueError(
-                    "eval_timeout must be a positive number of seconds "
-                    f"or None, got {self.eval_timeout!r}"
-                )
+        validate_eval_timeout(self.eval_timeout)
         # Reject knobs the chosen backend never reads.
         for knob in ("eval_workers", "eval_timeout"):
             if getattr(self, knob) is not None and self.eval_backend != "pool":
@@ -321,9 +310,9 @@ class AFEEngine:
         self.config = config or EngineConfig()
         # Persistent across fit() calls: re-running the same engine over
         # the same task replays candidate scores instead of refitting.
-        # With a configured store path (or REPRO_EVAL_STORE) the cache
-        # writes through to SQLite, so hits are shared across processes
-        # and survive the engine itself.
+        # With a configured store path the cache writes through to
+        # SQLite, so hits are shared across processes and survive the
+        # engine itself.
         self.eval_cache = make_eval_backend(self.config.eval_store_path)
 
     # -- helpers ------------------------------------------------------------

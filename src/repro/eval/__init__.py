@@ -20,8 +20,7 @@ degraded to serial scoring.
 Score stores are pluggable: ``EvaluationCache`` is now an alias for
 :class:`repro.store.MemoryBackend`, and :func:`repro.store.
 make_eval_backend` composes it with a durable SQLite layer when a
-store path is configured (``EngineConfig.eval_store_path`` /
-``REPRO_EVAL_STORE``).
+store path is configured (``EngineConfig.eval_store_path``).
 """
 
 from .arena import FeatureMatrixArena
@@ -29,6 +28,7 @@ from .executor import (
     PoolExecutor,
     TaskFailed,
     TaskLost,
+    validate_eval_timeout,
     validate_eval_workers,
 )
 from .fingerprint import ColumnFingerprinter, content_digest
@@ -58,5 +58,6 @@ __all__ = [
     "content_digest",
     "eval_metrics_text",
     "subsample_fold_plan",
+    "validate_eval_timeout",
     "validate_eval_workers",
 ]

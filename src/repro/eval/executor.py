@@ -57,9 +57,6 @@ __all__ = [
     "resolve_pool_workers",
 ]
 
-#: Environment override for the pool size (config beats env beats CPU count).
-EVAL_WORKERS_ENV = "REPRO_EVAL_WORKERS"
-
 #: Seconds between liveness checks while waiting on a result.
 _POLL_INTERVAL = 0.05
 
@@ -86,24 +83,6 @@ class TaskFailed(RuntimeError):
     """The worker raised while scoring this submission."""
 
 
-def env_eval_workers() -> int | None:
-    """Worker count requested via ``REPRO_EVAL_WORKERS``, if any."""
-    env = os.environ.get(EVAL_WORKERS_ENV)
-    if not env:
-        return None
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{EVAL_WORKERS_ENV} must be a positive integer, got {env!r}"
-        ) from None
-    if workers < 1:
-        raise ValueError(
-            f"{EVAL_WORKERS_ENV} must be a positive integer, got {env!r}"
-        )
-    return workers
-
-
 def validate_eval_workers(value, name: str = "eval_workers") -> int | None:
     """Reject worker counts that are not positive integers.
 
@@ -125,19 +104,34 @@ def validate_eval_workers(value, name: str = "eval_workers") -> int | None:
     return value
 
 
+def validate_eval_timeout(value, name: str = "eval_timeout") -> float | None:
+    """Reject per-fit deadlines that are not positive numbers of seconds.
+
+    ``None`` (no deadline) passes through; ``bool`` and strings are
+    invalid — a ``True`` deadline would silently mean one second.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(
+            f"{name} must be a positive number of seconds or None, "
+            f"got {value!r} ({type(value).__name__})"
+        )
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
 def resolve_pool_workers(explicit: int | None) -> int:
-    """Pool size: explicit config, else ``REPRO_EVAL_WORKERS``, else all CPUs.
+    """Pool size: the explicit count, else every CPU.
 
     A persistent pool amortizes startup, so it defaults to every core.
-    An invalid explicit value (zero, negative, non-integer)
-    raises instead of silently falling through to the defaults.
+    An invalid explicit value (zero, negative, non-integer) raises
+    instead of silently falling through to the default.
     """
     explicit = validate_eval_workers(explicit)
     if explicit is not None:
         return explicit
-    from_env = env_eval_workers()
-    if from_env is not None:
-        return from_env
     return os.cpu_count() or 1
 
 

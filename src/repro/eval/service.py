@@ -45,7 +45,6 @@ whose backend owns OS resources (the ``pool`` executor) must be
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -70,27 +69,6 @@ __all__ = [
 ]
 
 BACKENDS = ("serial", "pool")
-
-#: Environment knob for the per-fit deadline (pool backend), seconds.
-EVAL_TIMEOUT_ENV = "REPRO_EVAL_TIMEOUT"
-
-
-def env_eval_timeout() -> float | None:
-    """Per-fit deadline from ``REPRO_EVAL_TIMEOUT`` (unset/0 → None)."""
-    env = os.environ.get(EVAL_TIMEOUT_ENV)
-    if not env:
-        return None
-    try:
-        value = float(env)
-    except ValueError:
-        raise ValueError(
-            f"{EVAL_TIMEOUT_ENV} must be a number of seconds, got {env!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(
-            f"{EVAL_TIMEOUT_ENV} must be >= 0 (0 disables), got {env!r}"
-        )
-    return value or None
 
 #: Buffered fresh scores are flushed to the cache store at this size.
 _WRITE_BATCH = 64
@@ -333,9 +311,7 @@ class EvaluationService:
         ``"serial"`` or ``"pool"`` — how :meth:`score_batch` /
         :meth:`submit_batch` score cache misses.
     n_workers:
-        Worker count of the ``pool`` backend.  Defaults to every core;
-        the ``REPRO_EVAL_WORKERS`` environment variable overrides the
-        default, and this parameter overrides both.
+        Worker count of the ``pool`` backend.  Defaults to every core.
     fidelity:
         Optional :class:`~repro.fidelity.FidelityController`.  When
         set, batch scoring routes through the multi-fidelity ladder /
@@ -361,7 +337,7 @@ class EvaluationService:
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
         from ..reliability import RetryPolicy
-        from .executor import validate_eval_workers
+        from .executor import validate_eval_timeout, validate_eval_workers
         from .metrics import register_service
 
         self.evaluator = evaluator
@@ -369,12 +345,8 @@ class EvaluationService:
         self.backend = backend
         self.n_workers = validate_eval_workers(n_workers, name="n_workers")
         self.fidelity = fidelity
-        if timeout is None:
-            timeout = env_eval_timeout()
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout!r}")
         #: Per-fit deadline for pool submissions (None: wait forever).
-        self.timeout = timeout
+        self.timeout = validate_eval_timeout(timeout, name="timeout")
         # Accounting handle for pool-task resubmissions after a worker
         # crash; surfaces in the repro_reliability_* metrics family.
         self._pool_retry = RetryPolicy(

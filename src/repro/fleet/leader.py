@@ -31,7 +31,6 @@ import sys
 import time
 
 from ..store import QueueCell, RunStore
-from ..store.runs import RUN_RESUME_ENV, RUN_STORE_ENV
 from .spec import CellSpec
 
 __all__ = ["FleetLeader", "LeaderReport"]
@@ -114,17 +113,18 @@ class FleetLeader:
             )
 
         previous_sink = harness.set_cell_sink(sink)
-        with _store_env(self.store.path, resume=False):
-            try:
-                runner(**kwargs)
-            except Exception as error:  # noqa: BLE001 — see docstring
-                self._log(
-                    f"enqueue pass: aggregation over placeholders raised "
-                    f"{type(error).__name__}: {error} (cells were already "
-                    "captured; the render pass recomputes the real values)"
-                )
-            finally:
-                harness.set_cell_sink(previous_sink)
+        previous_store = harness.set_run_store(self.store.path, resume=False)
+        try:
+            runner(**kwargs)
+        except Exception as error:  # noqa: BLE001 — see docstring
+            self._log(
+                f"enqueue pass: aggregation over placeholders raised "
+                f"{type(error).__name__}: {error} (cells were already "
+                "captured; the render pass recomputes the real values)"
+            )
+        finally:
+            harness.set_run_store(*previous_store)
+            harness.set_cell_sink(previous_sink)
         enqueued = self.store.enqueue_cells(
             [
                 (s.dataset, s.method, s.seed, s.config_hash, s.to_json())
@@ -211,6 +211,7 @@ class FleetLeader:
                 "requeue_dead or inspect `python -m repro.fleet status`)"
             )
         from ..bench.__main__ import build_experiment_call
+        from ..bench import harness
 
         runner, formatter, kwargs, needs_fpe = build_experiment_call(
             experiment, seed=seed, datasets=datasets, methods=methods
@@ -221,8 +222,11 @@ class FleetLeader:
 
                 fpe = default_fpe(seed=seed)
             kwargs["fpe"] = fpe
-        with _store_env(self.store.path, resume=True):
+        previous_store = harness.set_run_store(self.store.path, resume=True)
+        try:
             return formatter(runner(**kwargs))
+        finally:
+            harness.set_run_store(*previous_store)
 
     # -- status ------------------------------------------------------------
     def render_status(self, now: float | None = None) -> str:
@@ -288,30 +292,3 @@ def _drain_eta(cells: list[QueueCell], now: float) -> float | None:
     window = max(now - min(c.enqueued_at for c in cells), 1e-9)
     rate = len(finished) / window
     return remaining / rate if rate > 0 else None
-
-
-class _store_env:
-    """Temporarily point the harness env knobs at a store file."""
-
-    def __init__(self, path: str, resume: bool) -> None:
-        self.values = {
-            RUN_STORE_ENV: path,
-            RUN_RESUME_ENV: "1" if resume else "0",
-        }
-        self.previous: dict[str, str | None] = {}
-
-    def __enter__(self) -> None:
-        import os
-
-        for name, value in self.values.items():
-            self.previous[name] = os.environ.get(name)
-            os.environ[name] = value
-
-    def __exit__(self, *exc_info) -> None:
-        import os
-
-        for name, value in self.previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value

@@ -8,7 +8,7 @@ Two durable layers back the evaluation and bench stacks:
   :class:`SqliteBackend` (WAL mode, concurrency-safe) shares hits
   across OS processes and runs; :class:`WriteThroughBackend` layers a
   memory front over the durable back.  :func:`make_eval_backend` picks
-  the right composition from an explicit path or ``REPRO_EVAL_STORE``.
+  the right composition from an explicit path.
 * **Run store** (:mod:`repro.store.runs`) — (dataset, method, seed,
   config-hash) experiment rows with full result payloads, written by
   the bench harness.  ``python -m repro.bench <exp> --store s.db
@@ -32,7 +32,6 @@ from .backends import (
     WriteThroughBackend,
     fidelity_namespace,
     make_eval_backend,
-    resolve_store_path,
 )
 from .runs import ClaimedCell, QueueCell, RunRecord, RunStore, config_hash
 
@@ -49,5 +48,4 @@ __all__ = [
     "config_hash",
     "fidelity_namespace",
     "make_eval_backend",
-    "resolve_store_path",
 ]

@@ -42,11 +42,7 @@ __all__ = [
     "WriteThroughBackend",
     "fidelity_namespace",
     "make_eval_backend",
-    "resolve_store_path",
 ]
-
-#: Environment variable naming the durable score-store path.
-EVAL_STORE_ENV = "REPRO_EVAL_STORE"
 
 #: Suffix marker separating a cache key from its fidelity namespace.
 #:
@@ -340,23 +336,14 @@ class WriteThroughBackend(CacheBackend):
         return self.back.fidelity_counts()
 
 
-def resolve_store_path(path: str | None = None) -> str | None:
-    """Explicit path, else the ``REPRO_EVAL_STORE`` environment knob."""
-    if path:
-        return path
-    return os.environ.get(EVAL_STORE_ENV) or None
-
-
 def make_eval_backend(path: str | None = None) -> CacheBackend:
     """Build the score cache every engine and baseline should use.
 
-    Without a store path (argument or ``REPRO_EVAL_STORE``), this is a
-    plain :class:`MemoryBackend` — exactly the PR-1 behaviour.  With
+    Without a store path, this is a plain :class:`MemoryBackend`.  With
     one, it is a :class:`WriteThroughBackend` over a
     :class:`SqliteBackend`, so hits are shared across processes and
     persist across runs.
     """
-    resolved = resolve_store_path(path)
-    if resolved is None:
+    if not path:
         return MemoryBackend()
-    return WriteThroughBackend(MemoryBackend(), SqliteBackend(resolved))
+    return WriteThroughBackend(MemoryBackend(), SqliteBackend(path))

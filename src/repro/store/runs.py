@@ -52,11 +52,6 @@ __all__ = [
     "config_hash",
 ]
 
-#: Environment variables the bench harness reads (set by ``--store`` /
-#: ``--resume`` on ``python -m repro.bench``).
-RUN_STORE_ENV = "REPRO_RUN_STORE"
-RUN_RESUME_ENV = "REPRO_RUN_RESUME"
-
 #: Fields that must not invalidate stored cells.  The seed is its own
 #: run-store axis; the ``eval_*`` knobs only choose *how* scores are
 #: computed or cached (serial/pool and cached/uncached scores are

@@ -42,13 +42,10 @@ class TestCLI:
     def test_store_and_resume_end_to_end(self, tmp_path, monkeypatch, capsys):
         # Cold run populates the store; warm --resume run replays it
         # (identical rendered table, one completed run-store cell).
-        from repro.store import RunStore
-
-        import os
+        from repro.bench.harness import active_run_store, resume_enabled
+        from repro.store import RunStore, SqliteBackend
 
         path = str(tmp_path / "cli-store.db")
-        monkeypatch.delenv("REPRO_RUN_STORE", raising=False)
-        monkeypatch.delenv("REPRO_RUN_RESUME", raising=False)
         monkeypatch.delenv("REPRO_EVAL_STORE", raising=False)
         arguments = [
             "table1", "--datasets", "labor", "--store", path, "--resume",
@@ -59,12 +56,14 @@ class TestCLI:
         warm = capsys.readouterr().out
         assert warm == cold
         assert RunStore(path).counts() == {"completed": 1}
-        # main() rolls back every env var it set: a later in-process
-        # invocation must not inherit this store.
-        for variable in (
-            "REPRO_RUN_STORE", "REPRO_RUN_RESUME", "REPRO_EVAL_STORE",
-        ):
-            assert variable not in os.environ
+        # --store also backs the engines' score cache.
+        scores = SqliteBackend(path)
+        assert len(scores) > 0
+        scores.close()
+        # main() restores the previous run store: a later in-process
+        # invocation must not inherit this one.
+        assert active_run_store() is None
+        assert not resume_enabled()
 
 
 class TestWorkerMode:

@@ -12,6 +12,7 @@ from repro.bench import (
     format_table,
     make_method,
     run_methods,
+    set_run_store,
 )
 from repro.core import EngineConfig, FPEModel, make_evaluator_factory
 from repro.datasets import make_classification
@@ -53,6 +54,52 @@ class TestProfiles:
         task = bench_dataset("Higgs Boson")
         assert task.n_samples <= 250
         assert task.n_features <= 8
+
+
+class TestEvalEnvMapping:
+    """bench_config is the one reader of the ``REPRO_EVAL_*`` knobs."""
+
+    def test_each_knob_lands_on_its_field(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "scores.db")
+        for variable, value in (
+            ("REPRO_EVAL_BACKEND", "pool"),
+            ("REPRO_EVAL_WORKERS", "2"),
+            ("REPRO_EVAL_TIMEOUT", "2.5"),
+            ("REPRO_EVAL_CACHE", "0"),
+            ("REPRO_EVAL_SPECULATION", "0"),
+            ("REPRO_EVAL_STORE", path),
+            ("REPRO_EVAL_FIDELITY", "ladder"),
+        ):
+            monkeypatch.setenv(variable, value)
+        config = bench_config()
+        assert config.eval_backend == "pool"
+        assert config.eval_workers == 2
+        assert config.eval_timeout == 2.5
+        assert config.eval_cache is False
+        assert config.eval_speculation is False
+        assert config.eval_store_path == path
+        assert config.eval_fidelity == "ladder"
+
+    def test_pool_knobs_rejected_on_serial(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EVAL_BACKEND", raising=False)
+        for variable, value in (
+            ("REPRO_EVAL_TIMEOUT", "2.5"), ("REPRO_EVAL_WORKERS", "2"),
+        ):
+            with monkeypatch.context() as env:
+                env.setenv(variable, value)
+                with pytest.raises(ValueError, match="is only read"):
+                    bench_config()
+
+    def test_store_falls_back_to_active_run_store(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EVAL_STORE", raising=False)
+        assert bench_config().eval_store_path is None
+        previous = set_run_store("runs.db", resume=False)
+        try:
+            assert bench_config().eval_store_path == "runs.db"
+            monkeypatch.setenv("REPRO_EVAL_STORE", "scores.db")
+            assert bench_config().eval_store_path == "scores.db"
+        finally:
+            set_run_store(*previous)
 
 
 class TestMakeMethod:

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.bench import harness
-from repro.bench.harness import bench_config, run_methods, run_single
+from repro.bench.harness import (
+    active_run_store,
+    bench_config,
+    run_methods,
+    run_single,
+    set_run_store,
+)
 from repro.bench.multi_seed import run_multi_seed
 from repro.datasets import make_classification
 from repro.store import RunStore
@@ -114,22 +120,24 @@ class TestRunSingleResume:
         assert len(calls) == 2  # different hash, different cell
 
     def test_no_store_runs_directly(self, task, monkeypatch):
-        monkeypatch.delenv("REPRO_RUN_STORE", raising=False)
         calls = _counting_make_method(monkeypatch)
         run_single(task, "NFS", bench_config(seed=0))
         run_single(task, "NFS", bench_config(seed=0))
         assert len(calls) == 2
 
-    def test_env_var_activates_store(self, task, tmp_path, monkeypatch):
-        path = str(tmp_path / "env-runs.db")
-        monkeypatch.setenv("REPRO_RUN_STORE", path)
-        monkeypatch.setenv("REPRO_RUN_RESUME", "1")
+    def test_set_run_store_activates_store(self, task, tmp_path, monkeypatch):
+        path = str(tmp_path / "installed-runs.db")
         # The store registry caches by path; a tmp path is always fresh.
         calls = _counting_make_method(monkeypatch)
-        run_single(task, "NFS", bench_config(seed=0))
-        run_single(task, "NFS", bench_config(seed=0))
+        previous = set_run_store(path, resume=True)
+        try:
+            run_single(task, "NFS", bench_config(seed=0))
+            run_single(task, "NFS", bench_config(seed=0))
+        finally:
+            set_run_store(*previous)
         assert len(calls) == 1
         assert RunStore(path).counts() == {"completed": 1}
+        assert active_run_store() is None
 
 
 class TestSweepResume:

@@ -156,28 +156,19 @@ class TestPoolExecutor:
 
 
 class TestResolveWorkers:
-    def test_explicit_beats_env_beats_cpu(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_WORKERS", "3")
+    def test_explicit_beats_cpu_count(self):
         assert resolve_pool_workers(2) == 2
-        assert resolve_pool_workers(None) == 3
-        monkeypatch.delenv("REPRO_EVAL_WORKERS")
         assert resolve_pool_workers(None) == (os.cpu_count() or 1)
 
-    def test_env_overrides_process_backend_default(self, monkeypatch):
-        from repro.eval.executor import env_eval_workers
-
-        monkeypatch.setenv("REPRO_EVAL_WORKERS", "2")
-        assert env_eval_workers() == 2
-        monkeypatch.delenv("REPRO_EVAL_WORKERS")
-        assert env_eval_workers() is None
-
     def test_invalid_env_value_raises_named_error(self, monkeypatch):
-        from repro.eval.executor import env_eval_workers
+        # REPRO_EVAL_WORKERS is parsed by the bench harness alone.
+        from repro.bench.harness import bench_config
 
+        monkeypatch.setenv("REPRO_EVAL_BACKEND", "pool")
         for bad in ("four", "0", "-2"):
             monkeypatch.setenv("REPRO_EVAL_WORKERS", bad)
             with pytest.raises(ValueError, match="REPRO_EVAL_WORKERS"):
-                env_eval_workers()
+                bench_config()
 
 
 class TestBackendEquivalence:

@@ -9,13 +9,16 @@ the batch still completes with exact scores.
 import pytest
 
 from repro import chaos
+from repro.bench.harness import bench_config
 from repro.chaos import FaultPlan
 from repro.core import EngineConfig
 from repro.core.evaluation import DownstreamEvaluator
 from repro.datasets import make_classification
 from repro.eval import EvaluationCache, EvaluationService, TaskLost
 from repro.eval.executor import TaskTimeout
-from repro.eval.service import EVAL_TIMEOUT_ENV, env_eval_timeout
+
+#: Read by the bench harness alone (``bench_config``), never the library.
+EVAL_TIMEOUT_ENV = "REPRO_EVAL_TIMEOUT"
 
 
 @pytest.fixture(autouse=True)
@@ -48,33 +51,33 @@ class TestTaskTimeoutType:
 
 
 class TestEnvParsing:
+    """``REPRO_EVAL_TIMEOUT`` maps onto ``eval_timeout`` in bench_config."""
+
+    @pytest.fixture(autouse=True)
+    def _pool_backend(self, monkeypatch):
+        # The deadline is a pool-only knob; serial rejects it.
+        monkeypatch.setenv("REPRO_EVAL_BACKEND", "pool")
+
     def test_unset_and_zero_mean_disabled(self, monkeypatch):
         monkeypatch.delenv(EVAL_TIMEOUT_ENV, raising=False)
-        assert env_eval_timeout() is None
-        monkeypatch.setenv(EVAL_TIMEOUT_ENV, "")
-        assert env_eval_timeout() is None
-        monkeypatch.setenv(EVAL_TIMEOUT_ENV, "0")
-        assert env_eval_timeout() is None
+        assert bench_config().eval_timeout is None
+        for disabled in ("", "0"):
+            monkeypatch.setenv(EVAL_TIMEOUT_ENV, disabled)
+            assert bench_config().eval_timeout is None
 
     def test_positive_value_parsed(self, monkeypatch):
         monkeypatch.setenv(EVAL_TIMEOUT_ENV, "2.5")
-        assert env_eval_timeout() == 2.5
+        assert bench_config().eval_timeout == 2.5
 
     def test_garbage_rejected(self, monkeypatch):
         for bad in ("-1", "soon"):
             monkeypatch.setenv(EVAL_TIMEOUT_ENV, bad)
-            with pytest.raises(ValueError):
-                env_eval_timeout()
-
-    def test_service_reads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(EVAL_TIMEOUT_ENV, "3.0")
-        service = EvaluationService(_evaluator(), cache=None)
-        assert service.timeout == 3.0
+            with pytest.raises(ValueError, match=EVAL_TIMEOUT_ENV):
+                bench_config()
 
     def test_explicit_timeout_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(EVAL_TIMEOUT_ENV, "3.0")
-        service = EvaluationService(_evaluator(), cache=None, timeout=1.5)
-        assert service.timeout == 1.5
+        assert bench_config(eval_timeout=1.5).eval_timeout == 1.5
 
 
 class TestEngineConfigValidation:
@@ -153,7 +156,9 @@ class TestDeadlineEnforcement:
         ).n_timeouts == 0
 
     def test_service_validates_timeout(self):
-        with pytest.raises(ValueError, match="timeout"):
-            EvaluationService(_evaluator(), cache=None, timeout=0.0)
-        with pytest.raises(ValueError, match="timeout"):
-            EvaluationService(_evaluator(), cache=None, timeout=-2)
+        # True would silently be a one-second deadline.
+        for bad in (0.0, -2, True, "5"):
+            with pytest.raises(ValueError, match="timeout"):
+                EvaluationService(
+                    _evaluator(), cache=None, backend="pool", timeout=bad
+                )

@@ -77,10 +77,9 @@ class TestEnqueuePass:
         assert sunk == []  # completed cells replay instead of enqueue
         assert result.best_score > 0  # the real stored result, not a stub
 
-    def test_sink_without_store_is_an_error(self, monkeypatch):
+    def test_sink_without_store_is_an_error(self):
         from repro.datasets import make_classification
 
-        monkeypatch.delenv("REPRO_RUN_STORE", raising=False)
         task = make_classification(n_samples=40, n_features=3, seed=0)
         previous = harness.set_cell_sink(lambda *args: None)
         try:
@@ -114,13 +113,15 @@ class TestSuperviseAndRender:
 
         serial = RunStore(str(tmp_path / "serial.db"))
         from repro.bench.__main__ import build_experiment_call
-        from repro.fleet.leader import _store_env
 
         runner, _, kwargs, _ = build_experiment_call(
             "table1", seed=0, datasets=["PimaIndian"]
         )
-        with _store_env(serial.path, resume=False):
+        previous = harness.set_run_store(serial.path, resume=False)
+        try:
             runner(**kwargs)
+        finally:
+            harness.set_run_store(*previous)
 
         fleet_rows = {
             (r.dataset, r.method, r.seed): r for r in store.records()

@@ -8,7 +8,6 @@ from repro.store import (
     SqliteBackend,
     WriteThroughBackend,
     make_eval_backend,
-    resolve_store_path,
 )
 
 
@@ -109,8 +108,7 @@ class TestWriteThroughBackend:
 
 
 class TestFactory:
-    def test_default_is_memory(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVAL_STORE", raising=False)
+    def test_default_is_memory(self):
         assert isinstance(make_eval_backend(), MemoryBackend)
 
     def test_explicit_path_builds_write_through(self, tmp_path):
@@ -118,15 +116,9 @@ class TestFactory:
         assert isinstance(backend, WriteThroughBackend)
         assert isinstance(backend.back, SqliteBackend)
 
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "scores.db")
-        monkeypatch.setenv("REPRO_EVAL_STORE", path)
-        assert resolve_store_path(None) == path
-        backend = make_eval_backend()
-        assert isinstance(backend, WriteThroughBackend)
-        assert backend.back.path == path
-
     def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
+        # The library never reads REPRO_EVAL_STORE (bench_config does).
         monkeypatch.setenv("REPRO_EVAL_STORE", str(tmp_path / "env.db"))
         explicit = str(tmp_path / "explicit.db")
-        assert resolve_store_path(explicit) == explicit
+        assert make_eval_backend(explicit).back.path == explicit
+        assert not (tmp_path / "env.db").exists()
