@@ -167,13 +167,20 @@ class SqliteConnectionOwner:
         connection = sqlite3.connect(
             self.path, timeout=self.timeout, isolation_level=None
         )
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
-        connection.execute(f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
-        # executescript, not execute: an owner's schema may hold several
-        # CREATE TABLE statements (the run store adds queue tables).
-        connection.executescript(self._SCHEMA)
-        self._migrate(connection)
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            connection.execute("PRAGMA synchronous=NORMAL")
+            connection.execute(
+                f"PRAGMA busy_timeout={int(self.timeout * 1000)}"
+            )
+            # executescript, not execute: an owner's schema may hold
+            # several CREATE TABLE statements (the run store adds queue
+            # tables).
+            connection.executescript(self._SCHEMA)
+            self._migrate(connection)
+        except BaseException:
+            connection.close()
+            raise
         return connection
 
     def _migrate(self, connection: sqlite3.Connection) -> None:
@@ -189,7 +196,11 @@ class SqliteConnectionOwner:
             self._pid = os.getpid()
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = self._connect()
+            # Switching a fresh file to WAL needs an exclusive lock that
+            # SQLite does not wait for: processes opening the same new
+            # file at once get "database is locked" straight away, so
+            # the whole open retries like any other contended statement.
+            connection = self.retry.call(self._connect)
             self._local.connection = connection
         return connection
 

@@ -75,6 +75,18 @@ class TestEnvParsing:
             with pytest.raises(ValueError, match=EVAL_TIMEOUT_ENV):
                 bench_config()
 
+    def test_service_reads_env_fallback(self, monkeypatch):
+        # The variable reaches a service only through bench_config's
+        # EngineConfig, built the way the engine builds its service.
+        monkeypatch.setenv(EVAL_TIMEOUT_ENV, "3.0")
+        service = EvaluationService.from_config(
+            _evaluator(), bench_config(), cache=None
+        )
+        try:
+            assert service.timeout == 3.0
+        finally:
+            service.close()
+
     def test_explicit_timeout_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(EVAL_TIMEOUT_ENV, "3.0")
         assert bench_config(eval_timeout=1.5).eval_timeout == 1.5

@@ -116,6 +116,19 @@ class TestFactory:
         assert isinstance(backend, WriteThroughBackend)
         assert isinstance(backend.back, SqliteBackend)
 
+    def test_env_var_fallback(self, tmp_path, monkeypatch):
+        # REPRO_EVAL_STORE reaches the factory through bench_config's
+        # eval_store_path, the path the engine hands make_eval_backend.
+        from repro.bench.harness import bench_config
+
+        path = str(tmp_path / "scores.db")
+        monkeypatch.setenv("REPRO_EVAL_STORE", path)
+        config = bench_config()
+        assert config.eval_store_path == path
+        backend = make_eval_backend(config.eval_store_path)
+        assert isinstance(backend, WriteThroughBackend)
+        assert backend.back.path == path
+
     def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
         # The library never reads REPRO_EVAL_STORE (bench_config does).
         monkeypatch.setenv("REPRO_EVAL_STORE", str(tmp_path / "env.db"))
