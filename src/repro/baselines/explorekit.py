@@ -17,15 +17,12 @@ count.
 from __future__ import annotations
 
 import copy
-import time
 
 import numpy as np
 
-from ..core.engine import AFEResult, EngineConfig, EpochRecord
-from ..core.evaluation import DownstreamEvaluator
+from ..core.engine import AFEEngine, AFEResult, EngineConfig, SearchRun
+from ..core.filters import KeepAllFilter
 from ..datasets.generators import TabularTask
-from ..eval import EvaluationService
-from ..store import make_eval_backend
 from ..hashing.meta_features import MetaFeatureExtractor
 from ..ml.base import sanitize_matrix
 from ..ml.linear import LogisticRegression
@@ -34,7 +31,7 @@ from ..operators.registry import OperatorRegistry, default_registry
 __all__ = ["ExploreKit"]
 
 
-class ExploreKit:
+class ExploreKit(AFEEngine):
     """Exhaustive candidate generation with meta-feature ranking."""
 
     method_name = "ExploreKit"
@@ -46,12 +43,11 @@ class ExploreKit:
     ) -> None:
         if evaluation_budget < 1:
             raise ValueError("evaluation_budget must be positive")
-        self.config = copy.deepcopy(config) if config is not None else EngineConfig()
+        super().__init__(KeepAllFilter(), copy.deepcopy(config))
         self.evaluation_budget = evaluation_budget
         self.registry: OperatorRegistry = default_registry()
         self.extractor = MetaFeatureExtractor(d=MetaFeatureExtractor.N_BASE)
         self._ranker: LogisticRegression | None = None
-        self.eval_cache = make_eval_backend(self.config.eval_store_path)
 
     # -- offline ranking model --------------------------------------------
     def pretrain(self, corpus: list[TabularTask]) -> "ExploreKit":
@@ -60,14 +56,8 @@ class ExploreKit:
 
         descriptors, labels = [], []
         for task in corpus:
-            evaluator = DownstreamEvaluator(
-                task=task.task,
-                n_splits=self.config.n_splits,
-                n_estimators=self.config.n_estimators,
-                seed=self.config.seed,
-            )
             for column, label in label_generated_features(
-                task, evaluator, thre=self.config.thre,
+                task, self._make_evaluator(task), thre=self.config.thre,
                 n_candidates=8, seed=self.config.seed,
             ):
                 descriptors.append(self.extractor.describe(column))
@@ -111,42 +101,17 @@ class ExploreKit:
                         candidates.append((operator.describe(a, b), values))
         return candidates
 
-    def fit(self, task: TabularTask) -> AFEResult:
-        from ..core.engine import AFEEngine
-        from ..core.filters import KeepAllFilter
-
-        started = time.perf_counter()
-        prefilter = AFEEngine(KeepAllFilter(), self.config)
-        working = prefilter._select_agent_features(task)
-        evaluator = DownstreamEvaluator(
-            task=working.task,
-            n_splits=self.config.n_splits,
-            n_estimators=self.config.n_estimators,
-            seed=self.config.seed,
-        )
-        service = EvaluationService.from_config(
-            evaluator, self.config, self.eval_cache
-        )
-        matrix = working.X.to_array()
-        base_score = service.evaluate(matrix, working.y)
+    def _search(self, run: SearchRun) -> AFEResult:
+        working, service = run.working, run.service
+        result = run.open_result(self.method_name)
         candidates = self._generate_all(working)
+        result.n_generated = len(candidates)
         ranked = sorted(
             candidates, key=lambda pair: self._rank_score(pair[1]), reverse=True
         )
-        current = matrix
+        current = working.X.to_array()
         current_names = list(working.X.columns)
-        current_score = base_score
-        best_score = base_score
-        result = AFEResult(
-            dataset=task.name,
-            method=self.method_name,
-            task=task.task,
-            base_score=base_score,
-            best_score=base_score,
-            selected_features=list(current_names),
-            n_generated=len(candidates),
-            stats=service.stats,
-        )
+        current_score = best_score = result.base_score
         current_token = service.token(current)
         for step, (name, values) in enumerate(
             ranked[: self.evaluation_budget]
@@ -164,19 +129,8 @@ class ExploreKit:
                 current_names.append(name)
             if score > best_score:
                 best_score = score
-            result.history.append(
-                EpochRecord(
-                    epoch=step,
-                    elapsed=time.perf_counter() - started,
-                    n_evaluations=evaluator.n_evaluations,
-                    best_score=best_score,
-                )
-            )
+            run.record_epoch(result, step, best_score)
         result.best_score = best_score
         result.selected_features = current_names
         result.selected_matrix = current
-        result.n_downstream_evaluations = evaluator.n_evaluations
-        result.evaluation_time = evaluator.total_eval_time
-        result.wall_time = time.perf_counter() - started
-        service.close()  # releases a pool backend's workers, if any
         return result

@@ -18,8 +18,14 @@ import time
 
 import numpy as np
 
-from ..core.engine import AFEResult, EngineConfig, EpochRecord
-from ..core.evaluation import DownstreamEvaluator
+from ..core.engine import (
+    AFEEngine,
+    AFEResult,
+    EngineConfig,
+    EpochRecord,
+    SearchRun,
+)
+from ..core.filters import KeepAllFilter
 from ..datasets.generators import TabularTask
 from ..ml.metrics import f1_score, one_minus_rae
 from ..ml.model_selection import train_test_split
@@ -90,11 +96,12 @@ class FeThenDl:
             history=[EpochRecord(0, elapsed, fe_result.n_downstream_evaluations + 1, score)],
             n_downstream_evaluations=fe_result.n_downstream_evaluations + 1,
             stats=fe_result.stats,
+            evaluation_time=fe_result.evaluation_time,
             wall_time=elapsed,
         )
 
 
-class DlThenFe:
+class DlThenFe(AFEEngine):
     """DL|FE: deep representation first, then feature selection."""
 
     method_name = "DL|FE"
@@ -104,22 +111,14 @@ class DlThenFe:
     portable_plan = False
 
     def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = copy.deepcopy(config) if config is not None else EngineConfig()
+        super().__init__(KeepAllFilter(), copy.deepcopy(config))
 
-    def fit(self, task: TabularTask) -> AFEResult:
-        from ..eval import EvaluationService
-        from ..store import make_eval_backend
+    def _select_agent_features(self, task: TabularTask) -> TabularTask:
+        # The ResNet learns its representation over every raw column.
+        return task
 
-        started = time.perf_counter()
-        evaluator = DownstreamEvaluator(
-            task=task.task,
-            n_splits=self.config.n_splits,
-            n_estimators=self.config.n_estimators,
-            seed=self.config.seed,
-        )
-        service = EvaluationService.from_config(
-            evaluator, self.config, make_eval_backend(self.config.eval_store_path)
-        )
+    def _search(self, run: SearchRun) -> AFEResult:
+        task = run.working
         try:
             body = TabularResNet(
                 task=task.task, width=16, n_blocks=2,
@@ -136,23 +135,15 @@ class DlThenFe:
         budget = min(8, representation.shape[1])
         for j in order[:budget]:
             candidate = selected + [int(j)]
-            score = service.evaluate(representation[:, candidate], task.y)
+            score = run.service.evaluate(representation[:, candidate], task.y)
             if score > best_score:
                 best_score = score
                 selected = candidate
-        elapsed = time.perf_counter() - started
-        service.close()  # releases a pool backend's workers, if any
-        return AFEResult(
-            dataset=task.name,
-            method=self.method_name,
-            task=task.task,
+        result = run.open_result(
+            self.method_name,
             base_score=best_score,
-            best_score=max(best_score, 0.0),
             selected_features=[f"repr_{j}" for j in selected],
-            history=[
-                EpochRecord(0, elapsed, evaluator.n_evaluations, best_score)
-            ],
-            n_downstream_evaluations=evaluator.n_evaluations,
-            stats=service.stats,
-            wall_time=elapsed,
         )
+        result.best_score = max(best_score, 0.0)
+        run.record_epoch(result, 0, best_score)
+        return result

@@ -9,14 +9,11 @@ average has a bug; tests and ablation benches rely on it.
 from __future__ import annotations
 
 import copy
-import time
 
 import numpy as np
 
-from ..core.engine import AFEEngine, AFEResult, EngineConfig, EpochRecord
+from ..core.engine import AFEEngine, AFEResult, EngineConfig, SearchRun
 from ..core.filters import KeepAllFilter
-from ..datasets.generators import TabularTask
-from ..rl.environment import FeatureSpace
 
 __all__ = ["RandomAFE"]
 
@@ -31,31 +28,12 @@ class RandomAFE(AFEEngine):
         config.two_stage = False
         super().__init__(KeepAllFilter(), config)
 
-    def fit(self, task: TabularTask) -> AFEResult:
-        started = time.perf_counter()
-        working = self._select_agent_features(task)
-        evaluator = self._make_evaluator(working)
-        service = self._make_service(evaluator)
-        space = FeatureSpace(
-            working,
-            max_order=self.config.max_order,
-            max_subgroup=self.config.max_subgroup,
-            seed=self.config.seed,
-        )
+    def _search(self, run: SearchRun) -> AFEResult:
+        space = self._make_space(run.working)
         rng = np.random.default_rng(self.config.seed)
-        base_score = service.evaluate(working.X.to_array(), working.y)
-        current_score = base_score
-        best_score = base_score
+        result = run.open_result(self.method_name)
+        current_score = best_score = result.base_score
         best_features = list(space.feature_names())
-        result = AFEResult(
-            dataset=task.name,
-            method=self.method_name,
-            task=task.task,
-            base_score=base_score,
-            best_score=base_score,
-            selected_features=best_features,
-            stats=service.stats,
-        )
         for epoch in range(self.config.n_epochs):
             for agent_index in range(space.n_agents):
                 for _ in range(self.config.transforms_per_agent):
@@ -64,9 +42,9 @@ class RandomAFE(AFEEngine):
                     if feature is None:
                         continue
                     result.n_generated += 1
-                    score = service.evaluate(
+                    score = run.service.evaluate(
                         space.trial_matrix(feature.values),
-                        working.y,
+                        run.working.y,
                         base_token=space.matrix_token(),
                         column=feature.values,
                     )
@@ -76,17 +54,17 @@ class RandomAFE(AFEEngine):
                     if score > best_score:
                         best_score = score
                         best_features = list(space.feature_names())
-            result.history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    elapsed=time.perf_counter() - started,
-                    n_evaluations=evaluator.n_evaluations,
-                    best_score=best_score,
-                )
-            )
+            run.record_epoch(result, epoch, best_score)
         result.best_score = best_score
         result.selected_features = best_features
-        result.n_downstream_evaluations = evaluator.n_evaluations
-        result.evaluation_time = evaluator.total_eval_time
-        result.wall_time = time.perf_counter() - started
+        name_to_column = {
+            feature.name: feature.values
+            for group in space.subgroups
+            for feature in group.members
+        }
+        columns = [
+            name_to_column[name] for name in best_features if name in name_to_column
+        ]
+        if columns:
+            result.selected_matrix = np.column_stack(columns)
         return result

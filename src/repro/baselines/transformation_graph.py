@@ -15,20 +15,19 @@ its evaluation counts are comparable with Table IV's.
 from __future__ import annotations
 
 import copy
-import time
 
 import networkx as nx
 import numpy as np
 
-from ..core.engine import AFEResult, EngineConfig, EpochRecord
-from ..datasets.generators import TabularTask
+from ..core.engine import AFEEngine, AFEResult, EngineConfig, SearchRun
+from ..core.filters import KeepAllFilter
 from ..ml.base import sanitize_matrix
 from ..operators.registry import OperatorRegistry, default_registry
 
 __all__ = ["TransformationGraph"]
 
 
-class TransformationGraph:
+class TransformationGraph(AFEEngine):
     """DAG exploration with tabular Q-learning.
 
     Parameters
@@ -59,14 +58,11 @@ class TransformationGraph:
             raise ValueError("epsilon must be in [0, 1]")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        self.config = copy.deepcopy(config) if config is not None else EngineConfig()
+        super().__init__(KeepAllFilter(), copy.deepcopy(config))
         self.max_nodes = max_nodes
         self.epsilon = epsilon
         self.alpha = alpha
         self.registry: OperatorRegistry = default_registry()
-        from ..store import make_eval_backend
-
-        self.eval_cache = make_eval_backend(self.config.eval_store_path)
 
     # -- transformations over whole nodes ---------------------------------
     def _apply_to_node(
@@ -89,43 +85,17 @@ class TransformationGraph:
         return sanitize_matrix(np.column_stack(columns))
 
     # -- main loop -----------------------------------------------------------
-    def fit(self, task: TabularTask) -> AFEResult:
-        from ..core.evaluation import DownstreamEvaluator
-        from ..core.engine import AFEEngine
-        from ..core.filters import KeepAllFilter
-        from ..eval import EvaluationService
-
-        started = time.perf_counter()
-        prefilter = AFEEngine(KeepAllFilter(), self.config)
-        working = prefilter._select_agent_features(task)
-        evaluator = DownstreamEvaluator(
-            task=working.task,
-            n_splits=self.config.n_splits,
-            n_estimators=self.config.n_estimators,
-            seed=self.config.seed,
-        )
-        service = EvaluationService.from_config(
-            evaluator, self.config, self.eval_cache
-        )
+    def _search(self, run: SearchRun) -> AFEResult:
+        working, service = run.working, run.service
         rng = np.random.default_rng(self.config.seed)
         n_actions = len(self.registry)
 
         graph = nx.DiGraph()
         root_matrix = working.X.to_array()
-        base_score = service.evaluate(root_matrix, working.y)
-        graph.add_node(0, matrix=root_matrix, score=base_score, depth=0)
+        result = run.open_result(self.method_name)
+        graph.add_node(0, matrix=root_matrix, score=result.base_score, depth=0)
         q_values: dict[tuple[int, int], float] = {}
-        best_node, best_score = 0, base_score
-
-        result = AFEResult(
-            dataset=task.name,
-            method=self.method_name,
-            task=task.task,
-            base_score=base_score,
-            best_score=base_score,
-            selected_features=list(working.X.columns),
-            stats=service.stats,
-        )
+        best_node, best_score = 0, result.base_score
 
         steps = self.config.n_epochs * self.config.transforms_per_agent
         for step in range(steps):
@@ -177,14 +147,7 @@ class TransformationGraph:
             )
             if score > best_score:
                 best_score, best_node = score, child
-            result.history.append(
-                EpochRecord(
-                    epoch=step,
-                    elapsed=time.perf_counter() - started,
-                    n_evaluations=evaluator.n_evaluations,
-                    best_score=best_score,
-                )
-            )
+            run.record_epoch(result, step, best_score)
 
         result.best_score = best_score
         best_depth = graph.nodes[best_node]["depth"]
@@ -193,10 +156,6 @@ class TransformationGraph:
             for j in range(graph.nodes[best_node]["matrix"].shape[1])
         ]
         result.selected_matrix = graph.nodes[best_node]["matrix"]
-        result.n_downstream_evaluations = evaluator.n_evaluations
-        result.evaluation_time = evaluator.total_eval_time
-        result.wall_time = time.perf_counter() - started
-        service.close()  # releases a pool backend's workers, if any
         # Expose the traversal structure for inspection/tests.
         self.graph_ = graph
         self.q_values_ = q_values

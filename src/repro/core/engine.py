@@ -44,7 +44,9 @@ from .filters import CandidateFilter, FPEFilter, KeepAllFilter
 from .fpe import FPEModel
 from .rewards import FPERewardTracker
 
-__all__ = ["EngineConfig", "EpochRecord", "AFEResult", "AFEEngine", "EAFE"]
+__all__ = [
+    "EngineConfig", "EpochRecord", "AFEResult", "SearchRun", "AFEEngine", "EAFE",
+]
 
 
 @dataclass
@@ -296,8 +298,59 @@ class _SweepPlan:
     n_filtered_out: int = 0
 
 
+@dataclass
+class SearchRun:
+    """What :meth:`AFEEngine.fit` hands a searcher's :meth:`~AFEEngine._search`.
+
+    ``task`` is the caller's task, ``working`` its pre-filtered copy,
+    ``service`` the run's scoring front-end (``fit`` closes it), and
+    ``started`` the run's ``perf_counter`` origin.
+    """
+
+    task: TabularTask
+    working: TabularTask
+    service: EvaluationService
+    started: float
+
+    def open_result(
+        self, method: str, base_score: float | None = None, **fields
+    ) -> AFEResult:
+        """A result carrying the service's stats, scoring the base if unset."""
+        if base_score is None:
+            base_score = self.service.evaluate(
+                self.working.X.to_array(), self.working.y
+            )
+        fields.setdefault("selected_features", list(self.working.X.columns))
+        return AFEResult(
+            dataset=self.task.name,
+            method=method,
+            task=self.task.task,
+            base_score=base_score,
+            best_score=base_score,
+            stats=self.service.stats,
+            **fields,
+        )
+
+    def record_epoch(self, result: AFEResult, epoch: int, best_score: float) -> None:
+        """Append one learning-curve sample at the current fit count."""
+        result.history.append(
+            EpochRecord(
+                epoch=epoch,
+                elapsed=time.perf_counter() - self.started,
+                n_evaluations=self.service.evaluator.n_evaluations,
+                best_score=best_score,
+            )
+        )
+
+
 class AFEEngine:
-    """RL-based AFE training loop with pluggable filtering strategy."""
+    """RL-based AFE training loop with pluggable filtering strategy.
+
+    :meth:`fit` is the one place a run is set up and accounted: it
+    pre-filters the task, opens the scoring service (closed even when
+    the search raises) and reads the fit count and fit seconds off the
+    evaluator.  Searchers subclass and implement :meth:`_search`.
+    """
 
     method_name = "afe"
 
@@ -537,12 +590,9 @@ class AFEEngine:
 
     def _stage2(
         self,
+        run: SearchRun,
         space: FeatureSpace,
         controller: MultiAgentController,
-        service: EvaluationService,
-        task: TabularTask,
-        base_score: float,
-        started: float,
         result: AFEResult,
         buffer: ReplayBuffer | None = None,
     ) -> None:
@@ -589,7 +639,8 @@ class AFEEngine:
         downstream fits batchable, and why per-seed trajectories differ
         slightly from the pre-batching implementation.
         """
-        evaluator = service.evaluator
+        service, task = run.service, run.working
+        base_score = result.base_score
         current_score = base_score
         best_score = base_score
         best_features = list(space.feature_names())
@@ -748,14 +799,7 @@ class AFEEngine:
                         for s in steps
                     ]
                 controller.update_from_trajectories(steps)
-            result.history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    elapsed=time.perf_counter() - started,
-                    n_evaluations=evaluator.n_evaluations,
-                    best_score=best_score,
-                )
-            )
+            run.record_epoch(result, epoch, best_score)
             if self.config.patience is not None:
                 if best_score > best_before_epoch:
                     epochs_without_improvement = 0
@@ -775,13 +819,9 @@ class AFEEngine:
             result.selected_matrix = space.task.X.to_array()
 
     # -- public API -----------------------------------------------------------
-    def fit(self, task: TabularTask) -> AFEResult:
-        """Run AFE on one dataset and return the full accounting."""
-        started = time.perf_counter()
-        working = self._select_agent_features(task)
-        evaluator = self._make_evaluator(working)
-        service = self._make_service(evaluator)
-        space = self._make_space(working)
+    def _search(self, run: SearchRun) -> AFEResult:
+        """The RL search of Algorithm 2; other searchers override this."""
+        space = self._make_space(run.working)
         controller = MultiAgentController(
             n_agents=space.n_agents,
             n_actions=space.n_actions,
@@ -791,24 +831,24 @@ class AFEEngine:
             lam=self.config.lam,
             seed=self.config.seed,
         )
+        result = run.open_result(self.method_name)
+        buffer = ReplayBuffer(capacity=self.config.replay_capacity)
+        if self.config.two_stage:
+            self._stage1(space, controller, buffer, result.base_score)
+        self._stage2(
+            run, space, controller, result,
+            buffer=buffer if self.config.two_stage else None,
+        )
+        return result
+
+    def fit(self, task: TabularTask) -> AFEResult:
+        """Run AFE on one dataset and return the full accounting."""
+        started = time.perf_counter()
+        working = self._select_agent_features(task)
+        evaluator = self._make_evaluator(working)
+        service = self._make_service(evaluator)
         try:
-            base_score = service.evaluate(working.X.to_array(), working.y)
-            result = AFEResult(
-                dataset=task.name,
-                method=self.method_name,
-                task=task.task,
-                base_score=base_score,
-                best_score=base_score,
-                selected_features=list(working.X.columns),
-                stats=service.stats,
-            )
-            buffer = ReplayBuffer(capacity=self.config.replay_capacity)
-            if self.config.two_stage:
-                self._stage1(space, controller, buffer, base_score)
-            self._stage2(
-                space, controller, service, working, base_score, started,
-                result, buffer=buffer if self.config.two_stage else None,
-            )
+            result = self._search(SearchRun(task, working, service, started))
         finally:
             # Releases the persistent worker pool and its shared-memory
             # segments (a no-op for the serial backend) and flushes
