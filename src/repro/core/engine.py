@@ -39,7 +39,7 @@ from ..ml.forest import RandomForestClassifier, RandomForestRegressor
 from ..rl.buffer import ReplayBuffer, Transition
 from ..rl.environment import FeatureSpace
 from ..rl.policy import MultiAgentController, TrajectoryStep
-from .evaluation import DownstreamEvaluator
+from .evaluation import MODEL_KINDS, DownstreamEvaluator
 from .filters import CandidateFilter, FPEFilter, KeepAllFilter
 from .fpe import FPEModel
 from .rewards import FPERewardTracker
@@ -99,6 +99,11 @@ class EngineConfig:
             raise ValueError("lam must be in [0, 1)")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be positive when set")
+        if self.model_kind.lower() not in MODEL_KINDS:
+            raise ValueError(
+                f"model_kind must be one of {MODEL_KINDS}, "
+                f"got {self.model_kind!r}"
+            )
         if self.eval_backend not in BACKENDS:
             raise ValueError(
                 f"eval_backend must be one of {BACKENDS}, "

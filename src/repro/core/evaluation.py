@@ -25,7 +25,10 @@ from ..ml.mlp import MLPClassifier, MLPRegressor
 from ..ml.model_selection import cross_val_mean
 from ..ml.naive_bayes import GaussianNB
 
-__all__ = ["DownstreamEvaluator", "make_downstream_model"]
+__all__ = ["DownstreamEvaluator", "MODEL_KINDS", "make_downstream_model"]
+
+#: Every ``kind`` :func:`make_downstream_model` builds (case-insensitive).
+MODEL_KINDS = ("rf", "svm", "nb_gp", "mlp", "knn", "gbm")
 
 
 def make_downstream_model(
@@ -77,7 +80,10 @@ def make_downstream_model(
         return GradientBoostingRegressor(
             n_estimators=max(n_estimators, 10), seed=seed
         )
-    raise ValueError(f"unknown downstream model kind {kind!r}")
+    raise ValueError(
+        f"unknown downstream model kind {kind!r}; expected one of "
+        f"{MODEL_KINDS}"
+    )
 
 
 @dataclass

@@ -4,7 +4,7 @@
 this package turns plans into *served* artifacts:
 
 * :class:`PlanRegistry` — versioned, fingerprint-addressed plan store
-  (directory- or SQLite-backed) that ingests plans from files or
+  (one directory tree) that ingests plans from files or
   straight out of a bench :class:`~repro.store.runs.RunStore`, and
   refuses fingerprint-mismatched publishes and loads;
 * :class:`TransformService` — a thread-safe serving session with an

@@ -1,8 +1,8 @@
 """``python -m repro.serve`` — answer transform/predict traffic.
 
-Serve every plan in a registry (directory or SQLite, including one
-published out of a bench run store with ``python -m repro.store plans
-<db> --publish <registry>``)::
+Serve every plan in a registry directory (including one published out
+of a bench run store with ``python -m repro.store plans <db> --publish
+<registry>``)::
 
     python -m repro.serve --registry plans/ --port 8765
 
@@ -59,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--registry",
         default=None,
-        help="plan registry: directory root or SQLite file",
+        help="plan registry directory (created when missing)",
     )
     parser.add_argument(
         "--plan",
@@ -114,7 +114,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.registry is None and not args.plan and args.pipeline is None:
         parser.error("nothing to serve: pass --registry, --plan, or --pipeline")
 
-    registry = PlanRegistry(args.registry) if args.registry else None
+    registry = None
+    if args.registry:
+        try:
+            registry = PlanRegistry(args.registry)
+        except ValueError as error:  # a path that is not a directory
+            parser.error(str(error))
     service = TransformService(registry=registry, capacity=args.capacity)
 
     for path in args.plan:

@@ -20,22 +20,15 @@ point between the two worlds:
   must match the registry the plan is compiled against — exactly the
   :meth:`FeaturePlan.load` contract.
 
-Two interchangeable backends, selected from the path:
-
-* **directory** — one pure plan JSON per version under
-  ``<root>/<name>/<version>.plan.json`` (each file remains directly
-  loadable with ``FeaturePlan.load``) plus a ``<version>.plan.meta``
-  sidecar carrying publish metadata.  Both files land via atomic
-  filesystem operations (temp file + ``link``/``replace``), so a
-  server resolving bare names *while* a publisher writes never sees a
-  torn document, and two processes racing on one version cannot
-  silently overwrite each other.
-* **SQLite** — one ``plans`` table using the same WAL-mode recipe as
-  :mod:`repro.store.backends`, but with a single shared connection
-  serialized by a lock: serving resolves metadata on short-lived HTTP
-  threads (``ThreadingHTTPServer`` spawns one per connection), where
-  the store's per-thread connections would pay a fresh
-  ``sqlite3.connect`` + PRAGMAs on nearly every request.
+Storage is one directory tree: one pure plan JSON per version under
+``<root>/<name>/<version>.plan.json`` (each file remains directly
+loadable with ``FeaturePlan.load``) plus a ``<version>.plan.meta``
+sidecar carrying publish metadata.  Both files land via atomic
+filesystem operations (a per-writer temp file + ``link``/``replace``),
+so a server resolving bare names *while* a publisher writes never sees
+a torn document, and processes racing on one version cannot silently
+overwrite each other: exactly one wins, and a loser either returns the
+winner's record (identical content) or is refused.
 
 Metadata queries (version listing, fingerprints, ``/plans``) never
 parse plan documents — only :meth:`PlanRegistry.get` does, once per
@@ -44,13 +37,12 @@ compile.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import re
-import sqlite3
 import threading
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,12 +64,10 @@ __all__ = [
 
 #: Plan names are path-ish identifiers: slash-separated segments of
 #: word characters, dots, and dashes.  No empty segments, no leading
-#: dots (so a directory backend can never be walked out of).
+#: dots (so a name can never walk out of the registry root).
 _NAME_PATTERN = re.compile(
     r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*(/[A-Za-z0-9_][A-Za-z0-9_.\-]*)*$"
 )
-
-_SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 
 
 class PlanNotFound(KeyError):
@@ -131,295 +121,27 @@ class PlanRecord:
         return f"{self.name}@{self.version}"
 
 
-def _document_meta(document: dict) -> tuple[str, str, int]:
-    """(fingerprint, registry_id, n_features) of a plan document."""
+def _document_meta(document: dict, created_at: float) -> dict:
+    """Sidecar fields of a plan document: a :class:`PlanRecord` sans address."""
     names = document.get("feature_names") or []
-    n_features = len(names) if names else len(document["input_columns"])
-    return plan_fingerprint(document), document["registry_id"], n_features
+    return {
+        "fingerprint": plan_fingerprint(document),
+        "registry_id": document["registry_id"],
+        "n_features": len(names) if names else len(document["input_columns"]),
+        "created_at": created_at,
+    }
 
 
-def _record_of_document(
-    name: str, version: int, document: dict, created_at: float
-) -> PlanRecord:
-    fingerprint, registry_id, n_features = _document_meta(document)
-    return PlanRecord(
-        name=name,
-        version=int(version),
-        fingerprint=fingerprint,
-        registry_id=registry_id,
-        n_features=n_features,
-        created_at=created_at,
-    )
+def _write_temp(target: Path, text: str) -> Path:
+    """Write ``text`` to a temp file next to ``target``, unique per writer.
 
-
-class _DirectoryBackend:
-    """``<root>/<name>/<version>.plan.json`` + ``.plan.meta`` sidecars."""
-
-    def __init__(self, root: str) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, name: str, version: int) -> Path:
-        return self.root / name / f"{version}.plan.json"
-
-    def versions(self, name: str) -> list[int]:
-        directory = self.root / name
-        if not directory.is_dir():
-            return []
-        out = []
-        for path in directory.glob("*.plan.json"):
-            stem = path.name[: -len(".plan.json")]
-            if stem.isdigit():
-                out.append(int(stem))
-        return sorted(out)
-
-    def names(self) -> list[str]:
-        out = set()
-        for path in self.root.rglob("*.plan.json"):
-            out.add(path.parent.relative_to(self.root).as_posix())
-        return sorted(out)
-
-    def put(
-        self, name: str, version: int, document: dict, created_at: float
-    ) -> None:
-        """Atomically write one version; refuses an existing one.
-
-        The document lands via temp file + ``os.link`` — readers
-        resolving the latest version mid-publish see either nothing or
-        the complete file, never a torn JSON, and two processes racing
-        on one version get ``FileExistsError`` instead of a silent
-        overwrite (the SQLite backend's PRIMARY KEY equivalent).
-        """
-        path = self._path(name, version)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        document_tmp = path.with_suffix(".json.tmp")
-        document_tmp.write_text(json.dumps(document, indent=2), encoding="utf-8")
-        try:
-            os.link(document_tmp, path)
-        finally:
-            document_tmp.unlink()
-        # Sidecar lands after the document (atomic replace): a reader
-        # in the gap treats the plan as hand-dropped (no tamper check)
-        # rather than missing.
-        fingerprint, registry_id, n_features = _document_meta(document)
-        meta_tmp = path.with_suffix(".meta.tmp")
-        meta_tmp.write_text(
-            json.dumps(
-                {
-                    "fingerprint": fingerprint,
-                    "registry_id": registry_id,
-                    "n_features": n_features,
-                    "created_at": created_at,
-                }
-            ),
-            encoding="utf-8",
-        )
-        os.replace(meta_tmp, path.with_suffix(".meta"))
-
-    def get(self, name: str, version: int) -> tuple[dict, float] | None:
-        path = self._path(name, version)
-        if not path.is_file():
-            return None
-        document = json.loads(path.read_text(encoding="utf-8"))
-        return document, path.stat().st_mtime
-
-    def _sidecar(self, name: str, version: int) -> dict | None:
-        path = self._path(name, version).with_suffix(".meta")
-        if not path.is_file():
-            return None
-        return json.loads(path.read_text(encoding="utf-8"))
-
-    def fingerprint(self, name: str, version: int) -> str | None:
-        """Published fingerprint (``None`` for hand-dropped plan files)."""
-        sidecar = self._sidecar(name, version)
-        return None if sidecar is None else sidecar["fingerprint"]
-
-    def meta(self, name: str, version: int) -> PlanRecord | None:
-        """Version metadata without parsing the plan document.
-
-        Hand-dropped files (no sidecar) fall back to reading the
-        document once.
-        """
-        sidecar = self._sidecar(name, version)
-        if sidecar is not None:
-            return PlanRecord(
-                name=name,
-                version=int(version),
-                fingerprint=sidecar["fingerprint"],
-                registry_id=sidecar["registry_id"],
-                n_features=int(sidecar["n_features"]),
-                created_at=float(sidecar["created_at"]),
-            )
-        stored = self.get(name, version)
-        if stored is None:
-            return None
-        document, created_at = stored
-        return _record_of_document(name, version, document, created_at)
-
-    def records_meta(self) -> list[PlanRecord]:
-        out = []
-        for name in self.names():
-            for version in self.versions(name):
-                record = self.meta(name, version)
-                if record is not None:
-                    out.append(record)
-        return out
-
-    def close(self) -> None:
-        """Nothing to release for a directory backend."""
-
-
-class _SqliteBackend:
-    """One ``plans`` table over a single lock-serialized connection.
-
-    Same WAL/busy-timeout recipe as :mod:`repro.store.backends`, but
-    one shared connection instead of thread-locals: the serving hot
-    path resolves metadata from a fresh thread per HTTP connection,
-    where per-thread connections would re-run ``sqlite3.connect`` +
-    PRAGMAs + DDL on nearly every request.  Fork-safe the same way —
-    a forked child lazily reconnects instead of reusing the parent's
-    handle.
+    Every writer gets its own name, so a concurrent publisher can never
+    overwrite (or delete) the temp file another one is about to link.
     """
-
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS plans (
-        name        TEXT NOT NULL,
-        version     INTEGER NOT NULL,
-        fingerprint TEXT NOT NULL,
-        registry_id TEXT NOT NULL,
-        n_features  INTEGER NOT NULL,
-        document    TEXT NOT NULL,
-        created_at  REAL NOT NULL,
-        PRIMARY KEY (name, version)
-    )
-    """
-
-    def __init__(self, path: str, timeout: float = 30.0) -> None:
-        self.path = os.fspath(path)
-        self.timeout = timeout
-        self._lock = threading.Lock()
-        self._handle: sqlite3.Connection | None = None
-        self._pid = os.getpid()
-        with self._connection() as connection:
-            connection.execute("SELECT 1")  # fail fast on unusable paths
-
-    @contextlib.contextmanager
-    def _connection(self):
-        with self._lock:
-            if self._handle is None or self._pid != os.getpid():
-                self._pid = os.getpid()
-                connection = sqlite3.connect(
-                    self.path,
-                    timeout=self.timeout,
-                    isolation_level=None,
-                    check_same_thread=False,
-                )
-                connection.execute("PRAGMA journal_mode=WAL")
-                connection.execute("PRAGMA synchronous=NORMAL")
-                connection.execute(
-                    f"PRAGMA busy_timeout={int(self.timeout * 1000)}"
-                )
-                connection.execute(self._SCHEMA)
-                self._handle = connection
-            yield self._handle
-
-    def versions(self, name: str) -> list[int]:
-        with self._connection() as connection:
-            rows = connection.execute(
-                "SELECT version FROM plans WHERE name = ? ORDER BY version",
-                (name,),
-            ).fetchall()
-        return [int(row[0]) for row in rows]
-
-    def names(self) -> list[str]:
-        with self._connection() as connection:
-            rows = connection.execute(
-                "SELECT DISTINCT name FROM plans ORDER BY name"
-            ).fetchall()
-        return [row[0] for row in rows]
-
-    def put(
-        self, name: str, version: int, document: dict, created_at: float
-    ) -> None:
-        fingerprint, registry_id, n_features = _document_meta(document)
-        with self._connection() as connection:
-            connection.execute(
-                "INSERT INTO plans (name, version, fingerprint, registry_id,"
-                " n_features, document, created_at)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    name,
-                    int(version),
-                    fingerprint,
-                    registry_id,
-                    int(n_features),
-                    json.dumps(document),
-                    created_at,
-                ),
-            )
-
-    def get(self, name: str, version: int) -> tuple[dict, float] | None:
-        with self._connection() as connection:
-            row = connection.execute(
-                "SELECT document, created_at FROM plans WHERE name = ? AND"
-                " version = ?",
-                (name, int(version)),
-            ).fetchone()
-        if row is None:
-            return None
-        return json.loads(row[0]), float(row[1])
-
-    def fingerprint(self, name: str, version: int) -> str | None:
-        """Published fingerprint as stored at publish time."""
-        with self._connection() as connection:
-            row = connection.execute(
-                "SELECT fingerprint FROM plans WHERE name = ? AND version = ?",
-                (name, int(version)),
-            ).fetchone()
-        return None if row is None else row[0]
-
-    def meta(self, name: str, version: int) -> PlanRecord | None:
-        """Version metadata in one indexed SELECT, no document parse."""
-        with self._connection() as connection:
-            row = connection.execute(
-                "SELECT fingerprint, registry_id, n_features, created_at"
-                " FROM plans WHERE name = ? AND version = ?",
-                (name, int(version)),
-            ).fetchone()
-        if row is None:
-            return None
-        return PlanRecord(
-            name=name,
-            version=int(version),
-            fingerprint=row[0],
-            registry_id=row[1],
-            n_features=int(row[2]),
-            created_at=float(row[3]),
-        )
-
-    def records_meta(self) -> list[PlanRecord]:
-        with self._connection() as connection:
-            rows = connection.execute(
-                "SELECT name, version, fingerprint, registry_id, n_features,"
-                " created_at FROM plans ORDER BY name, version"
-            ).fetchall()
-        return [
-            PlanRecord(
-                name=row[0],
-                version=int(row[1]),
-                fingerprint=row[2],
-                registry_id=row[3],
-                n_features=int(row[4]),
-                created_at=float(row[5]),
-            )
-            for row in rows
-        ]
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None and self._pid == os.getpid():
-                self._handle.close()
-            self._handle = None
+    temp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
+    with open(temp, "x", encoding="utf-8") as handle:
+        handle.write(text)
+    return temp
 
 
 class PlanRegistry:
@@ -428,13 +150,8 @@ class PlanRegistry:
     Parameters
     ----------
     path:
-        Directory root or SQLite database file.  With
-        ``backend="auto"`` an existing directory (or a path without a
-        SQLite suffix) selects the directory backend; ``.db`` /
-        ``.sqlite`` / ``.sqlite3`` paths and existing files select
-        SQLite.
-    backend:
-        ``"auto"``, ``"dir"``, or ``"sqlite"``.
+        Directory root of the registry; created when missing.  A path
+        that exists but is not a directory is refused.
     operator_registry:
         The :class:`~repro.operators.registry.OperatorRegistry` plans
         are validated and compiled against; defaults to the paper's
@@ -446,40 +163,82 @@ class PlanRegistry:
     fingerprint already exists under the name returns the existing
     record instead of minting a new version.  Concurrent publishers in
     one process are serialized by a lock; across processes, the
-    backends' exclusive inserts turn a same-version race into an error
-    instead of a silent overwrite.
+    exclusive ``link`` of each version file turns a same-version race
+    into the winner's record (identical content) or an error, never a
+    silent overwrite.
     """
 
     def __init__(
         self,
         path: str | Path,
-        backend: str = "auto",
         operator_registry: OperatorRegistry | None = None,
     ) -> None:
         self.path = os.fspath(path)
+        self.root = Path(path)
+        if self.root.exists() and not self.root.is_dir():
+            raise ValueError(
+                f"plan registry path {self.path!r} exists and is not a "
+                "directory"
+            )
+        self.root.mkdir(parents=True, exist_ok=True)
         self.operator_registry = operator_registry or default_registry()
         self.operator_registry_id = registry_fingerprint(self.operator_registry)
-        if backend == "auto":
-            backend = self._sniff_backend(self.path)
-        if backend == "dir":
-            self._backend = _DirectoryBackend(self.path)
-        elif backend == "sqlite":
-            self._backend = _SqliteBackend(self.path)
-        else:
-            raise ValueError(
-                f"backend must be 'auto', 'dir', or 'sqlite', got {backend!r}"
-            )
-        self.backend = backend
         self._lock = threading.RLock()
 
-    @staticmethod
-    def _sniff_backend(path: str) -> str:
-        if os.path.isdir(path):
-            return "dir"
-        if os.path.isfile(path):
-            return "sqlite"
-        suffix = Path(path).suffix.lower()
-        return "sqlite" if suffix in _SQLITE_SUFFIXES else "dir"
+    # -- storage -----------------------------------------------------------
+    def _document_path(self, name: str, version: int) -> Path:
+        return self.root / name / f"{version}.plan.json"
+
+    def _versions(self, name: str) -> list[int]:
+        directory = self.root / name
+        if not directory.is_dir():
+            return []
+        out = []
+        for path in directory.glob("*.plan.json"):
+            stem = path.name[: -len(".plan.json")]
+            if stem.isdigit():
+                out.append(int(stem))
+        return sorted(out)
+
+    def _document(self, name: str, version: int) -> dict | None:
+        path = self._document_path(name, version)
+        if not path.is_file():
+            return None
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def _sidecar(self, name: str, version: int) -> dict | None:
+        """Publish metadata (``None`` for hand-dropped plan files)."""
+        path = self._document_path(name, version).with_suffix(".meta")
+        if not path.is_file():
+            return None
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def _put(
+        self, name: str, version: int, document: dict, created_at: float
+    ) -> None:
+        """Atomically write one version; refuses an existing one.
+
+        The document lands via a per-writer temp file + ``os.link`` —
+        readers resolving the latest version mid-publish see either
+        nothing or the complete file, never a torn JSON, and only the
+        first of several processes racing on one version links; the
+        others get ``FileExistsError`` and write no sidecar.
+        """
+        path = self._document_path(name, version)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        document_temp = _write_temp(path, json.dumps(document, indent=2))
+        try:
+            os.link(document_temp, path)
+        finally:
+            document_temp.unlink()
+        # Sidecar lands after the document (atomic replace): a reader
+        # in the gap treats the plan as hand-dropped (no tamper check)
+        # rather than missing.
+        meta_path = path.with_suffix(".meta")
+        meta_temp = _write_temp(
+            meta_path, json.dumps(_document_meta(document, created_at))
+        )
+        os.replace(meta_temp, meta_path)
 
     # -- publishing --------------------------------------------------------
     def _validate_name(self, name: str) -> str:
@@ -501,13 +260,6 @@ class PlanRegistry:
         FeaturePlan.from_dict(document, registry=self.operator_registry)
         return document
 
-    def _published_fingerprint(self, name: str, version: int) -> str:
-        """Fingerprint recorded at publish time (recomputed if absent)."""
-        stored = self._backend.fingerprint(name, version)
-        if stored is not None:
-            return stored
-        return self.record(name, version).fingerprint
-
     def publish(
         self,
         plan: FeaturePlan | dict,
@@ -522,36 +274,43 @@ class PlanRegistry:
         case that record is returned and nothing is written.  An
         explicit ``version`` that already exists is only accepted when
         the fingerprints match (idempotent re-publish); differing
-        content is refused.
+        content is refused.  The same holds when another process
+        publishes the version first: identical content returns its
+        record, differing content raises ``ValueError``.
         """
         self._validate_name(name)
         document = self._as_document(plan)
         fingerprint = plan_fingerprint(document)
         with self._lock:
-            versions = self._backend.versions(name)
+            versions = self._versions(name)
             if version is None:
                 for existing in versions:
-                    if self._published_fingerprint(name, existing) == fingerprint:
-                        return self.record(name, existing)
+                    record = self.record(name, existing)
+                    if record.fingerprint == fingerprint:
+                        return record
                 version = (versions[-1] + 1) if versions else 1
             elif version in versions:
-                existing_fingerprint = self._published_fingerprint(name, version)
-                if existing_fingerprint == fingerprint:
-                    return self.record(name, version)
+                record = self.record(name, version)
+                if record.fingerprint == fingerprint:
+                    return record
                 raise ValueError(
                     f"refusing fingerprint-mismatched publish: "
                     f"{name}@{version} already holds "
-                    f"{existing_fingerprint}, got {fingerprint}"
+                    f"{record.fingerprint}, got {fingerprint}"
                 )
+            version = int(version)
             try:
-                self._backend.put(name, int(version), document, time.time())
-            except (FileExistsError, sqlite3.IntegrityError) as error:
+                self._put(name, version, document, time.time())
+            except FileExistsError as error:
                 # Lost a cross-process race for this version number.
+                record = self.record(name, version)
+                if record.fingerprint == fingerprint:
+                    return record
                 raise ValueError(
                     f"{name}@{version} was published concurrently by "
                     "another process; retry to allocate a fresh version"
                 ) from error
-            return self.record(name, int(version))
+            return self.record(name, version)
 
     def publish_file(
         self,
@@ -602,9 +361,9 @@ class PlanRegistry:
         """Highest published version of ``name``, or ``None``."""
         if not _NAME_PATTERN.match(name):
             # Read-path guard: a traversal-shaped name must never reach
-            # the directory backend's path construction.
+            # the path construction.
             return None
-        versions = self._backend.versions(name)
+        versions = self._versions(name)
         return versions[-1] if versions else None
 
     def _pinned_version(self, name: str, version: int | None) -> int:
@@ -621,14 +380,24 @@ class PlanRegistry:
     def record(self, name: str, version: int | None = None) -> PlanRecord:
         """Metadata of ``name@version`` (latest when ``version=None``).
 
-        Served from publish metadata (SQLite columns / directory
-        sidecar) — no plan document is parsed.
+        Served from the publish-metadata sidecar — no plan document is
+        parsed, except for hand-dropped files without one.
         """
         version = self._pinned_version(name, version)
-        record = self._backend.meta(name, version)
+        record = self._record(name, version)
         if record is None:
             raise PlanNotFound(f"no plan {name}@{version}")
         return record
+
+    def _record(self, name: str, version: int) -> PlanRecord | None:
+        meta = self._sidecar(name, version)
+        if meta is None:
+            document = self._document(name, version)
+            if document is None:
+                return None
+            created_at = self._document_path(name, version).stat().st_mtime
+            meta = _document_meta(document, created_at)
+        return PlanRecord(name=name, version=version, **meta)
 
     def get(self, name: str, version: int | None = None) -> FeaturePlan:
         """Load and compile ``name@version`` (latest when ``None``).
@@ -642,12 +411,11 @@ class PlanRegistry:
         """
         maybe_fault("registry.load")
         version = self._pinned_version(name, version)
-        stored = self._backend.get(name, version)
-        if stored is None:
+        document = self._document(name, version)
+        if document is None:
             raise PlanNotFound(f"no plan {name}@{version}")
-        document, _ = stored
-        published = self._backend.fingerprint(name, version)
-        if published is not None and published != plan_fingerprint(document):
+        meta = self._sidecar(name, version)
+        if meta is not None and meta["fingerprint"] != plan_fingerprint(document):
             raise PlanIntegrityError(
                 f"content fingerprint mismatch for {name}@{version}: "
                 "stored document does not match its published fingerprint"
@@ -676,8 +444,8 @@ class PlanRegistry:
         Accepted forms: ``name`` (latest version), ``name@version``,
         and a content fingerprint (``plan-v1:...``, optionally prefixed
         ``fp:``).  This is the serving hot path — for name refs it only
-        touches version metadata (a directory listing / one indexed
-        SELECT), never the plan documents.
+        touches version metadata (a directory listing), never the plan
+        documents.
         """
         maybe_fault("registry.load")
         if ref.startswith("fp:"):
@@ -692,7 +460,7 @@ class PlanRegistry:
             if not version.isdigit():
                 raise ValueError(f"invalid plan reference {ref!r}")
             pinned = self._pinned_version(name, int(version))
-            if pinned not in self._backend.versions(name):
+            if pinned not in self._versions(name):
                 raise PlanNotFound(f"no plan {name}@{pinned}")
             return name, pinned
         return name, self._pinned_version(name, None)
@@ -709,21 +477,24 @@ class PlanRegistry:
 
     def names(self) -> list[str]:
         """Every published plan name."""
-        return self._backend.names()
+        return sorted(
+            {
+                path.parent.relative_to(self.root).as_posix()
+                for path in self.root.rglob("*.plan.json")
+            }
+        )
 
     def records(self) -> list[PlanRecord]:
         """Every published (name, version) record — metadata only."""
-        return self._backend.records_meta()
+        records = (
+            self._record(name, version)
+            for name in self.names()
+            for version in self._versions(name)
+        )
+        return [record for record in records if record is not None]
 
     def __len__(self) -> int:
-        return sum(len(self._backend.versions(name)) for name in self.names())
-
-    def close(self) -> None:
-        """Release backend resources (SQLite connections)."""
-        self._backend.close()
+        return sum(len(self._versions(name)) for name in self.names())
 
     def __repr__(self) -> str:
-        return (
-            f"PlanRegistry({self.path!r}, backend={self.backend!r}, "
-            f"{len(self)} plans)"
-        )
+        return f"PlanRegistry({self.path!r}, {len(self)} plans)"

@@ -21,7 +21,6 @@ picked up without restarting the service) or are pinned directly with
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 import time
 from collections import OrderedDict
@@ -37,11 +36,11 @@ from .rows import rows_to_matrix
 __all__ = ["PlanServeStats", "TransformService"]
 
 #: Registry failures the service degrades through instead of dying:
-#: backend I/O trouble (a remote/SQLite registry flaking) and injected
-#: chaos faults.  Integrity failures and genuine not-found are *not*
-#: here — serving a known-corrupt or never-published plan from cache
-#: would be wrong, not resilient.
-_DEGRADABLE_ERRORS = (sqlite3.Error, OSError, FaultInjected)
+#: filesystem I/O trouble (a network-mounted registry flaking) and
+#: injected chaos faults.  Integrity failures and genuine not-found are
+#: *not* here — serving a known-corrupt or never-published plan from
+#: cache would be wrong, not resilient.
+_DEGRADABLE_ERRORS = (OSError, FaultInjected)
 
 
 @dataclass

@@ -134,7 +134,11 @@ def _publish_plans(matches, registry_path: str) -> int:
         # serves nothing.
         print("no stored plans match; nothing published", file=sys.stderr)
         return 1
-    registry = PlanRegistry(registry_path)
+    try:
+        registry = PlanRegistry(registry_path)
+    except ValueError as error:  # a path that is not a directory
+        print(f"python -m repro.store: error: {error}", file=sys.stderr)
+        return 2
     for record, document in matches:
         published = registry.publish(
             document, f"{record.dataset}/{record.method}"
@@ -212,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="REGISTRY",
         help="publish matching plans into a serving PlanRegistry "
-        "(directory or .db path; plans mode)",
+        "directory (plans mode)",
     )
     parser.add_argument(
         "--diff",

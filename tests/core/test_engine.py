@@ -11,6 +11,7 @@ from repro.core import (
     KeepAllFilter,
     make_evaluator_factory,
 )
+from repro.core.evaluation import MODEL_KINDS
 from repro.core.variants import VARIANT_NAMES, make_variant
 from repro.datasets import make_classification, make_regression
 
@@ -51,6 +52,16 @@ class TestEngineConfig:
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
             EngineConfig(lam=1.0)
+
+    def test_unknown_model_kind_refused_at_configuration(self):
+        # A typo must fail here, not at the first downstream fit after
+        # the RF pre-filter has already run.
+        with pytest.raises(ValueError, match="model_kind"):
+            EngineConfig(model_kind="randomforest")
+
+    def test_every_buildable_model_kind_accepted(self):
+        for kind in MODEL_KINDS + ("RF",):
+            assert EngineConfig(model_kind=kind).model_kind == kind
 
 
 class TestAFEEngineBasics:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DownstreamEvaluator, make_downstream_model
+from repro.core.evaluation import MODEL_KINDS
 from repro.datasets import make_classification, make_regression
 from repro.ml import (
     GaussianNB,
@@ -42,6 +43,11 @@ class TestMakeDownstreamModel:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_downstream_model("xgboost", "C")
+
+    def test_every_listed_kind_builds(self):
+        for kind in MODEL_KINDS:
+            for task in ("C", "R"):
+                assert make_downstream_model(kind, task) is not None
 
     def test_unknown_task(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """PlanRegistry: versioning, fingerprint addressing, refusal paths."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from repro.api import FeaturePlan, plan_fingerprint
 from repro.operators import Operator, OperatorRegistry, default_registry
 from repro.serve import PlanNotFound, PlanRegistry
+from repro.serve import registry as registry_module
 from repro.store import RunStore
 
 
@@ -14,28 +17,57 @@ def _plan(names=("f0", "mul(f0,f1)"), columns=("f0", "f1", "f2")):
     return FeaturePlan(list(names), list(columns))
 
 
+def _competitor_links_first(monkeypatch, root, plan):
+    """Let another registry publish ``plan`` as demo@1 just before our link.
+
+    Returns the list the competitor's record lands in.  The patched
+    ``os.link`` is one-shot: it restores the real one, runs the
+    competing publish to completion, then performs the original link.
+    """
+    real_link = os.link
+    competitor = PlanRegistry(root)
+    winner = []
+
+    def link(source, target):
+        monkeypatch.setattr(registry_module.os, "link", real_link)
+        winner.append(competitor.publish(plan, "demo", version=1))
+        real_link(source, target)
+
+    monkeypatch.setattr(registry_module.os, "link", link)
+    return winner
+
+
+def _publish_after_barrier(root, name, index, barrier, results):
+    """Forked publisher: wait for the others, then race on ``name``."""
+    registry = PlanRegistry(root)
+    barrier.wait(timeout=30)
+    try:
+        record = registry.publish(_plan([f"f{index}"]), name)
+        results.put((index, record.version))
+    except ValueError as error:
+        results.put((index, "refused" if "concurrently" in str(error) else
+                     repr(error)))
+    except Exception as error:  # noqa: BLE001 — reported to the test
+        results.put((index, repr(error)))
+
+
 @pytest.fixture(params=["dir", "sqlite"])
 def registry(request, tmp_path):
     if request.param == "dir":
         return PlanRegistry(tmp_path / "plans")
+    # A SQLite-suffixed path is just a directory name: it must open a
+    # registry that behaves exactly like any other.
     return PlanRegistry(tmp_path / "plans.db")
 
 
-class TestBackendSelection:
-    def test_db_suffix_selects_sqlite(self, tmp_path):
-        assert PlanRegistry(tmp_path / "x.db").backend == "sqlite"
-        assert PlanRegistry(tmp_path / "x.sqlite3").backend == "sqlite"
-
-    def test_plain_path_selects_directory(self, tmp_path):
-        assert PlanRegistry(tmp_path / "plans").backend == "dir"
-
-    def test_existing_directory_selects_dir(self, tmp_path):
-        (tmp_path / "existing").mkdir()
-        assert PlanRegistry(tmp_path / "existing").backend == "dir"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
-            PlanRegistry(tmp_path / "p", backend="redis")
+class TestRegistryPath:
+    def test_existing_file_refused_untouched(self, tmp_path):
+        path = tmp_path / "runs.db"
+        path.write_bytes(b"not a registry")
+        with pytest.raises(ValueError, match="not a directory") as caught:
+            PlanRegistry(path)
+        assert str(path) in str(caught.value)
+        assert path.read_bytes() == b"not a registry"
 
 
 class TestPublish:
@@ -135,19 +167,6 @@ class TestLoadRefusals:
             registry.get("../outside/secret")
         assert registry.latest_version("../outside/secret") is None
 
-    def test_tampered_sqlite_document_refused(self, tmp_path):
-        registry = PlanRegistry(tmp_path / "plans.db")
-        registry.publish(_plan(), "demo")
-        # Swap the stored document under the published fingerprint.
-        other = _plan(["f1"]).to_dict()
-        with registry._backend._connection() as connection:
-            connection.execute(
-                "UPDATE plans SET document = ? WHERE name = 'demo'",
-                (json.dumps(other),),
-            )
-        with pytest.raises(ValueError, match="fingerprint mismatch"):
-            registry.get("demo")
-
     def test_missing_plan_raises_keyerror(self, registry):
         with pytest.raises(KeyError, match="no plan"):
             registry.get("ghost")
@@ -159,13 +178,74 @@ class TestLoadRefusals:
 class TestAtomicPublish:
     def test_same_version_double_put_refused(self, registry):
         # Simulates two processes racing on one version number: the
-        # loser errors (exclusive create / PRIMARY KEY) instead of
-        # silently overwriting the winner's document.
-        import sqlite3
+        # loser errors (exclusive link) instead of silently overwriting
+        # the winner's document.
+        registry._put("demo", 1, _plan(["f0"]).to_dict(), 0.0)
+        with pytest.raises(FileExistsError):
+            registry._put("demo", 1, _plan(["f1"]).to_dict(), 0.0)
+        assert registry.get("demo", 1).feature_names == ["f0"]
+        assert list((registry.root / "demo").glob("*.tmp")) == []
 
-        registry._backend.put("demo", 1, _plan(["f0"]).to_dict(), 0.0)
-        with pytest.raises((FileExistsError, sqlite3.IntegrityError)):
-            registry._backend.put("demo", 1, _plan(["f1"]).to_dict(), 0.0)
+    def test_lost_race_to_different_content_refused(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "plans"
+        registry = PlanRegistry(root)
+        winner = _competitor_links_first(monkeypatch, root, _plan(["f1"]))
+        with pytest.raises(ValueError, match="published concurrently"):
+            registry.publish(_plan(["f0"]), "demo", version=1)
+        assert registry.record("demo", 1) == winner[0]
+        assert registry.get("demo", 1) == _plan(["f1"])
+        assert list(root.rglob("*.tmp")) == []
+
+    def test_lost_race_to_identical_content_returns_winner(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "plans"
+        registry = PlanRegistry(root)
+        winner = _competitor_links_first(monkeypatch, root, _plan())
+        assert registry.publish(_plan(), "demo", version=1) == winner[0]
+        assert registry.get("demo", 1) == _plan()
+        assert list(root.rglob("*.tmp")) == []
+
+    def test_forked_publishers_racing_on_one_name(self, tmp_path):
+        context = multiprocessing.get_context("fork")
+        root = tmp_path / "plans"
+        registry = PlanRegistry(root)
+        for round_index in range(20):
+            name = f"round{round_index}"
+            barrier = context.Barrier(3)
+            results = context.Queue()
+            processes = [
+                context.Process(
+                    target=_publish_after_barrier,
+                    args=(root, name, index, barrier, results),
+                )
+                for index in range(3)
+            ]
+            for process in processes:
+                process.start()
+            outcomes = dict(results.get(timeout=60) for _ in processes)
+            for process in processes:
+                process.join(timeout=60)
+                assert process.exitcode == 0
+            published = {
+                index: version
+                for index, version in outcomes.items()
+                if version != "refused"
+            }
+            # Each publish returned a record or the documented refusal.
+            assert all(
+                isinstance(version, int) for version in published.values()
+            ), outcomes
+            assert published, outcomes
+            # Every stored version loads (sidecar agrees with document)
+            # and holds the plan of the process that got its record.
+            stored = registry._versions(name)
+            assert sorted(published.values()) == stored, outcomes
+            for index, version in published.items():
+                assert registry.get(name, version) == _plan([f"f{index}"])
+        assert list(root.rglob("*.tmp")) == []
 
     def test_directory_publish_leaves_no_temp_files(self, tmp_path):
         registry = PlanRegistry(tmp_path / "plans")

@@ -132,3 +132,14 @@ def test_nothing_to_serve_is_an_error():
     )
     assert completed.returncode != 0
     assert "nothing to serve" in completed.stderr
+
+
+def test_registry_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    from repro.serve.__main__ import main
+
+    path = tmp_path / "runs.db"
+    path.write_bytes(b"")
+    with pytest.raises(SystemExit) as exited:
+        main(["--registry", str(path)])
+    assert exited.value.code == 2
+    assert "not a directory" in capsys.readouterr().err

@@ -98,7 +98,7 @@ class TestServiceConcurrency:
 
 class TestHTTPConcurrency:
     def test_threaded_clients_bit_identical(self, tmp_path):
-        registry = PlanRegistry(tmp_path / "plans.db")
+        registry = PlanRegistry(tmp_path / "plans")
         registry.publish(_plan(), "demo")
         service = TransformService(registry=registry)
         server = make_server(service, default_plan="demo")
@@ -131,7 +131,7 @@ class TestHTTPConcurrency:
 
 class TestRegistryConcurrency:
     def test_parallel_publishes_unique_versions(self, tmp_path):
-        registry = PlanRegistry(tmp_path / "plans.db")
+        registry = PlanRegistry(tmp_path / "plans")
         plans = [_plan([f"f{i % 3}"]) for i in range(3)]
 
         def worker(index):

@@ -133,7 +133,7 @@ class TestPlansPublish:
     def test_publish_respects_filters(self, plan_store, tmp_path):
         from repro.serve import PlanRegistry
 
-        registry_path = str(tmp_path / "registry.db")
+        registry_path = str(tmp_path / "registry")
         assert main(
             ["plans", plan_store, "--seed", "0", "--publish", registry_path]
         ) == 0
@@ -154,6 +154,15 @@ class TestPlansPublish:
         assert main(["plans", plan_store, "--publish", registry_path]) == 0
         assert main(["plans", plan_store, "--publish", registry_path]) == 0
         assert len(PlanRegistry(registry_path)) == 2
+
+    def test_publish_into_a_file_is_a_usage_error(
+        self, plan_store, capsys
+    ):
+        # The run store itself is a file, not a registry directory.
+        assert main(["plans", plan_store, "--publish", plan_store]) == 2
+        err = capsys.readouterr().err
+        assert "not a directory" in err and plan_store in err
+        assert RunStore(plan_store).plans()
 
 
 class TestPlansDiff:
