@@ -31,6 +31,11 @@ E-AFE_I / E-AFE (CCWS, the default) / E-AFE_P / E-AFE_L in Table III:
 All samplers expose the same interface: ``signature(weights)`` returns
 ``(elements, quantiles)`` and ``compress(weights)`` returns a
 classifier-ready float vector of the selected elements' weights.
+
+Each sampler instance caches the random fields of the last column length
+it hashed, together with the log term its ``_score`` needs, so a run of
+same-length columns draws them once; the cache is derived state and is
+dropped by ``copy.deepcopy`` and ``pickle``.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ def generalized_jaccard(a: np.ndarray, b: np.ndarray) -> float:
     right = np.asarray(b, dtype=np.float64).reshape(-1)
     if left.shape != right.shape:
         raise ValueError("vectors must have identical length")
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise ValueError("generalized Jaccard requires finite weights")
     if (left < 0).any() or (right < 0).any():
         raise ValueError("generalized Jaccard requires non-negative weights")
     denominator = float(np.maximum(left, right).sum())
@@ -82,12 +89,22 @@ class _BaseCWS:
 
     #: set by subclasses; used by make_sampler and reprs
     name = "cws"
+    #: one slot: ``(n, r, log_term, beta)`` for the last column length
+    #: hashed; derived from ``(seed, d)``, so never pickled
+    _fields: tuple | None = None
 
     def __init__(self, d: int = 48, seed: int = 0) -> None:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            raise ValueError(f"signature dimension d must be an integer, got {d!r}")
         if d < 1:
             raise ValueError("signature dimension d must be positive")
         self.d = d
         self.seed = seed
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_fields", None)
+        return state
 
     def _random_fields(
         self, n_elements: int
@@ -104,18 +121,52 @@ class _BaseCWS:
         beta = rng.uniform(0.0, 1.0, size=(self.d, n_elements))
         return r, c, beta
 
-    # -- subclass hook ---------------------------------------------------
+    def _fields_for(
+        self, n_elements: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(r, log_term, beta)`` for ``n_elements``, drawn once per length.
+
+        The slot is read once and replaced whole, so a caller never mixes
+        two lengths' fields; two threads racing on it at worst both draw.
+        """
+        fields = self._fields
+        if fields is None or fields[0] != n_elements:
+            self._fields = None  # release the old length before drawing
+            r, c, beta = self._random_fields(n_elements)
+            fields = (n_elements, r, self._log_term(c), beta)
+            for array in fields[1:]:
+                array.flags.writeable = False
+            self._fields = fields
+        return fields[1:]
+
+    # -- subclass hooks --------------------------------------------------
+    @staticmethod
+    def _log_term(c: np.ndarray) -> np.ndarray:
+        """The field-only log term of ``ln_a``, computed once per length."""
+        return np.log(c)
+
     def _score(
-        self, weights: np.ndarray, r: np.ndarray, c: np.ndarray, beta: np.ndarray
+        self,
+        weights: np.ndarray,
+        r: np.ndarray,
+        log_term: np.ndarray,
+        beta: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(ln_a, t)`` with shape (d, n); smaller ln_a wins."""
         raise NotImplementedError
 
     # -- public API --------------------------------------------------------
+    @staticmethod
+    def _sanitize(weights: np.ndarray) -> np.ndarray:
+        """Flat float64 weights with NaN and +-inf mapped to 0."""
+        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        return np.nan_to_num(w, posinf=0.0, neginf=0.0)
+
     def signature(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(elements, quantiles)`` — argmin element and its t per slot."""
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        w = np.nan_to_num(w, posinf=0.0, neginf=0.0)
+        return self._signature(self._sanitize(weights))
+
+    def _signature(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if (w < 0).any():
             raise ValueError("CWS requires non-negative weights")
         n = w.shape[0]
@@ -126,8 +177,8 @@ class _BaseCWS:
             # Degenerate all-zero column: a fixed, well-defined signature.
             return (np.zeros(self.d, dtype=np.int64),
                     np.zeros(self.d, dtype=np.int64))
-        r, c, beta = self._random_fields(n)
-        ln_a, t = self._score(np.maximum(w, _LOG_FLOOR), r, c, beta)
+        r, log_term, beta = self._fields_for(n)
+        ln_a, t = self._score(np.maximum(w, _LOG_FLOOR), r, log_term, beta)
         ln_a = np.where(active[None, :], ln_a, np.inf)
         elements = np.argmin(ln_a, axis=1)
         quantiles = t[np.arange(self.d), elements].astype(np.int64)
@@ -140,9 +191,8 @@ class _BaseCWS:
         paper's Equation 4: ``d`` representative sample values chosen
         consistently, so similar columns produce similar vectors.
         """
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        w = np.nan_to_num(w, posinf=0.0, neginf=0.0)
-        elements, _ = self.signature(w)
+        w = self._sanitize(weights)
+        elements, _ = self._signature(w)
         return w[elements]
 
     def __repr__(self) -> str:
@@ -154,11 +204,11 @@ class ICWS(_BaseCWS):
 
     name = "icws"
 
-    def _score(self, weights, r, c, beta):
+    def _score(self, weights, r, log_c, beta):
         ln_w = np.log(weights)[None, :]
         t = np.floor(ln_w / r + beta)
         ln_y = r * (t - beta)
-        ln_a = np.log(c) - ln_y - r
+        ln_a = log_c - ln_y - r
         return ln_a, t
 
 
@@ -176,11 +226,15 @@ class PCWS(_BaseCWS):
         beta = rng.uniform(0.0, 1.0, size=(self.d, n_elements))
         return r, u, beta
 
-    def _score(self, weights, r, u, beta):
+    @staticmethod
+    def _log_term(u):
+        return np.log(-np.log(u))
+
+    def _score(self, weights, r, log_neg_log_u, beta):
         ln_w = np.log(weights)[None, :]
         t = np.floor(ln_w / r + beta)
         ln_y = r * (t - beta)
-        ln_a = np.log(-np.log(u)) - ln_y - r
+        ln_a = log_neg_log_u - ln_y - r
         return ln_a, t
 
 
@@ -189,12 +243,12 @@ class CCWS(_BaseCWS):
 
     name = "ccws"
 
-    def _score(self, weights, r, c, beta):
+    def _score(self, weights, r, log_c, beta):
         w = weights[None, :]
         t = np.floor(w / r + beta)
         y = r * (t - beta)
         # Canonical form scores on the weight axis directly.
-        ln_a = np.log(c) - np.log(np.maximum(y + r, _LOG_FLOOR))
+        ln_a = log_c - np.log(np.maximum(y + r, _LOG_FLOOR))
         return ln_a, t
 
 
@@ -203,11 +257,11 @@ class LICWS(_BaseCWS):
 
     name = "licws"
 
-    def _score(self, weights, r, c, beta):
+    def _score(self, weights, r, log_c, beta):
         ln_w = np.log(weights)[None, :]
         t = np.floor(ln_w / r + beta)
         ln_y = r * (t - beta)
-        ln_a = np.log(c) - ln_y - r
+        ln_a = log_c - ln_y - r
         # 0-bit: the quantile is dropped from the signature.
         return ln_a, np.zeros_like(t)
 

@@ -1,5 +1,9 @@
 """Unit + property + statistical tests for the CWS family."""
 
+import copy
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +46,13 @@ class TestGeneralizedJaccard:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             generalized_jaccard(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            generalized_jaccard(np.array([bad, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            generalized_jaccard(np.array([1.0, 1.0]), np.array([1.0, bad]))
 
     @given(
         st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=40),
@@ -119,6 +130,15 @@ class TestCWSCommon:
         with pytest.raises(ValueError):
             sampler_cls(d=0)
 
+    @pytest.mark.parametrize("d", [4.5, 8.0, True, "8", None])
+    def test_non_integer_dimension_rejected(self, sampler_cls, d):
+        with pytest.raises(ValueError, match="integer"):
+            sampler_cls(d=d)
+
+    def test_numpy_integer_dimension_accepted(self, sampler_cls):
+        elements, _ = sampler_cls(d=np.int64(8), seed=0).signature(np.ones(5))
+        assert elements.shape == (8,)
+
     def test_similar_vectors_collide_more(self, sampler_cls):
         rng = np.random.default_rng(6)
         base = rng.uniform(size=200)
@@ -128,6 +148,126 @@ class TestCWSCommon:
         sim_near = np.mean(sampler.signature(base)[0] == sampler.signature(near)[0])
         sim_far = np.mean(sampler.signature(base)[0] == sampler.signature(far)[0])
         assert sim_near > sim_far
+
+
+def _interleaved_columns():
+    """Columns of lengths 5, 1001, 1001, 333, 1001, then an all-zero
+    column and one with NaN and +-inf, all hashed by one instance."""
+    rng = np.random.default_rng(20230417)
+    columns = [rng.uniform(size=n) for n in (5, 1001, 1001, 333, 1001)]
+    columns.append(np.zeros(1001))
+    special = rng.uniform(size=1001)
+    special[[3, 500]] = np.nan
+    special[[7, 900]] = np.inf
+    special[11] = -np.inf
+    columns.append(special)
+    return columns
+
+
+#: SHA-256 of every column's (elements, quantiles) bytes and of every
+#: column's compress() bytes, recorded with the samplers that drew their
+#: random fields afresh on each call.
+PINNED_DIGESTS = {
+    ICWS: (
+        "1e72d6b792e3422be07e018a5b54c76c85038213db0ebe7b97316db389415838",
+        "8c24782a236bb4a652eb4304e8ba6d3b7a946c341780ae0a94c9a24ed176171b",
+    ),
+    CCWS: (
+        "5b79b56702273caaf9ece79ec6a8473c3cb2b7e75077d5b69beac37235505e26",
+        "dc540c9c8a3c0726f891fdac7ceb5affb1ce328fdf918d85e3494d4a0ddc7fa7",
+    ),
+    PCWS: (
+        "1a9d1f68ca46dd89e9ce6839d8c4cadad3e9dbc63008b83b8087bbf4be44e514",
+        "054ad4b7c78e3af4e9e29a3c09f385c51c0c83dd718d1fd3cd5ea85aaa1a51da",
+    ),
+    LICWS: (
+        "533a358344e349a8cda5d54a816f5bcbce99374016818ccca6495552567f204e",
+        "8c24782a236bb4a652eb4304e8ba6d3b7a946c341780ae0a94c9a24ed176171b",
+    ),
+}
+
+
+def _count_field_draws(monkeypatch, sampler_cls):
+    calls = []
+    draw = sampler_cls._random_fields
+
+    def counting(self, n_elements):
+        calls.append(n_elements)
+        return draw(self, n_elements)
+
+    monkeypatch.setattr(sampler_cls, "_random_fields", counting)
+    return calls
+
+
+def _retained_arrays(sampler):
+    """Every ndarray the sampler's instance state keeps alive."""
+    found, stack = [], list(vars(sampler).values())
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return found
+
+
+@pytest.mark.parametrize("sampler_cls", ALL_SAMPLERS)
+class TestFieldCache:
+    def test_signatures_bit_identical_to_pinned_digest(self, sampler_cls):
+        sampler = sampler_cls(d=48, seed=7)
+        signatures, compressed = hashlib.sha256(), hashlib.sha256()
+        for column in _interleaved_columns():
+            elements, quantiles = sampler.signature(column)
+            signatures.update(elements.tobytes())
+            signatures.update(quantiles.tobytes())
+            compressed.update(sampler.compress(column).tobytes())
+        assert (signatures.hexdigest(), compressed.hexdigest()) == (
+            PINNED_DIGESTS[sampler_cls]
+        )
+
+    def test_reused_instance_equals_fresh_instance(self, sampler_cls):
+        reused = sampler_cls(d=48, seed=7)
+        for column in _interleaved_columns():
+            got = reused.signature(column)
+            want = sampler_cls(d=48, seed=7).signature(column)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_fields_drawn_once_per_column_length(self, sampler_cls, monkeypatch):
+        calls = _count_field_draws(monkeypatch, sampler_cls)
+        sampler = sampler_cls(d=16, seed=0)
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            sampler.signature(rng.uniform(size=50))
+        assert calls == [50]
+        for _ in range(3):
+            sampler.compress(rng.uniform(size=20))
+        assert calls == [50, 20]
+        sampler.signature(rng.uniform(size=50))
+        assert calls == [50, 20, 50]
+
+    def test_only_last_length_retained(self, sampler_cls):
+        sampler = sampler_cls(d=16, seed=0)
+        rng = np.random.default_rng(0)
+        for n in (50, 20, 70):
+            sampler.signature(rng.uniform(size=n))
+        retained = _retained_arrays(sampler)
+        assert len(retained) == 3
+        assert {array.shape for array in retained} == {(16, 70)}
+        assert not any(array.flags.writeable for array in retained)
+
+    def test_copies_carry_no_fields(self, sampler_cls):
+        fresh = sampler_cls(d=48, seed=7)
+        used = sampler_cls(d=48, seed=7)
+        column = np.random.default_rng(0).uniform(size=1001)
+        want = used.signature(column)
+        assert _retained_arrays(used)
+        assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
+        for twin in (copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+            assert _retained_arrays(twin) == []
+            got = twin.signature(column)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestICWSUnbiasedness:
