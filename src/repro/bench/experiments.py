@@ -228,6 +228,18 @@ def table3_main(
     return table
 
 
+#: Printed under every table with an ``AutoFSR`` column: the column
+#: keeps the paper's name, but the search is RandomAFE's.
+AUTOFSR_NOTE = (
+    "Note: AutoFSR is random generation with greedy score-gain "
+    "acceptance; AutoFS's selection agents are not implemented."
+)
+
+
+def _with_autofsr_note(text: str, methods) -> str:
+    return f"{text}\n{AUTOFSR_NOTE}" if "AutoFSR" in methods else text
+
+
 def format_table3(table: dict[str, dict[str, AFEResult]]) -> str:
     methods = list(next(iter(table.values())).keys())
     rows = []
@@ -242,7 +254,9 @@ def format_table3(table: dict[str, dict[str, AFEResult]]) -> str:
         for m in methods
     ]
     rows.append(["MEAN", ""] + means)
-    return format_table(["Dataset", "C\\R"] + methods, rows)
+    return _with_autofsr_note(
+        format_table(["Dataset", "C\\R"] + methods, rows), methods
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +297,7 @@ def format_table4(rows: list[dict]) -> str:
     body = [[r["dataset"], *(r[m] for m in methods)] for r in rows]
     totals = ["TOTAL"] + [sum(r[m] for r in rows) for m in methods]
     body.append(totals)
-    return format_table(["Dataset", *methods], body)
+    return _with_autofsr_note(format_table(["Dataset", *methods], body), methods)
 
 
 # ---------------------------------------------------------------------------

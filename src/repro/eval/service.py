@@ -5,10 +5,12 @@ evaluations through.  It layers three optimizations over the thin
 :class:`~repro.core.evaluation.DownstreamEvaluator` primitive without
 changing a single score:
 
-* **memoization** — candidates are fingerprinted (quantile-sketch
-  bucket + exact content hash, keyed on the base-matrix token), so a
-  duplicate candidate never pays a second cross-validated fit.  The
-  backing store is any :class:`~repro.store.CacheBackend`:
+* **memoization** — candidates are keyed by an exact content hash on
+  top of the base-matrix token, so a duplicate candidate never pays a
+  second cross-validated fit.  One triage step
+  (:meth:`EvaluationService._triage`) keys, deduplicates and counts
+  every submission on every entry point.  The backing store is any
+  :class:`~repro.store.CacheBackend`:
   :class:`~repro.store.MemoryBackend` (the default, per-process) or a
   durable :class:`~repro.store.SqliteBackend` shared across OS
   processes and runs — a warm store replays an identical engine
@@ -16,21 +18,15 @@ changing a single score:
   process.
 * **fold reuse** — CV splits are planned once per target via
   :class:`~repro.eval.folds.FoldCache` and passed into every fit.
-* **batching** — :meth:`score_batch` scores a sweep's surviving
-  candidates together against one frozen base matrix, through one of
-  two backends: ``serial`` (arena-backed, zero-copy trials) or
-  ``pool`` (a persistent :class:`~repro.eval.executor.PoolExecutor`
-  whose workers receive the base matrix through shared memory).
-  Backends are bit-equal because every evaluation is independently
-  seeded.
-* **pipelining** — :meth:`submit_batch` returns
-  :class:`ScoreFuture` handles and :meth:`iter_scores_async` (alias
-  :meth:`iter_scores`) resolves them in submission order on every
-  backend.  ``serial`` futures are lazy, so an abandoned stream pays
-  no fit; with the ``pool`` backend the CV fits run in the workers
-  while the caller keeps generating and filtering candidates, and
-  fresh scores are written through to the cache store in batches
-  rather than one put per candidate.
+* **batching** — :meth:`score_batch` scores a sweep's candidates
+  against one frozen base matrix on the ``serial`` backend
+  (arena-backed, zero-copy trials) or the ``pool`` backend (a
+  persistent :class:`~repro.eval.executor.PoolExecutor` fed through
+  shared memory); backends are bit-equal because every fit is
+  independently seeded.
+* **pipelining** — :meth:`submit_batch` returns :class:`ScoreFuture`
+  handles, lazy on ``serial`` and in flight on ``pool``, and
+  :meth:`iter_scores_async` resolves them in submission order.
 
 ``DownstreamEvaluator`` counters keep meaning *real downstream fits*:
 cache hits never touch them.  Everything else the service counts —
@@ -86,8 +82,10 @@ class EvalStats:
 
     Every submission is exactly one of a cache hit, a cache miss, or a
     surrogate serve: ``n_cache_hits + n_cache_misses +
-    n_surrogate_served == submissions`` (the invariant the throughput
-    benchmark asserts).  Every speculation is later either committed or
+    n_surrogate_served == submissions``.  The service's triage step is
+    the only writer of those three counters, on every entry point; an
+    in-batch duplicate is a hit with a cache and a miss without one.
+    Every speculation is later either committed or
     rolled back, so ``n_speculative_submitted == n_speculative_used +
     n_speculative_discarded`` at the end of a run.
     """
@@ -139,7 +137,8 @@ class EvalStats:
                           "acceptance."},
     )
     #: Worker count of the persistent pool and the high-water mark of
-    #: concurrently outstanding submissions (dispatched + backlogged).
+    #: concurrently outstanding submissions (dispatched + backlogged),
+    #: updated by every pool submission, batch or pipelined.
     pool_workers: int = 0
     pool_peak_inflight: int = 0
     n_lowfi_scored: int = field(
@@ -201,6 +200,39 @@ class EvalStats:
 EvaluationCache = MemoryBackend
 
 
+@dataclass
+class _Triage:
+    """One batch's lookup outcome (see :meth:`EvaluationService._triage`)."""
+
+    keys: list[str]
+    #: Per position: the cached or surrogate-served score; None until a
+    #: miss is scored (and for in-batch duplicates until :meth:`result`).
+    scores: list[float | None]
+    #: First occurrence of every miss, in submission order.
+    missing: list[int] = field(default_factory=list)
+    #: First occurrence -> its later in-batch copies.
+    duplicates: dict[int, list[int]] = field(default_factory=dict)
+    #: Surrogate-served positions, in submission order.
+    served: list[int] = field(default_factory=list)
+    #: Surrogate bucket key of every position that reached the gate.
+    surrogate_keys: dict[int, str] = field(default_factory=dict)
+
+    def fill(self, positions: list[int], scores) -> list[tuple[str, float]]:
+        """Record fresh full-CV scores; returns their store entries."""
+        entries = []
+        for index, score in zip(positions, scores):
+            self.scores[index] = float(score)
+            entries.append((self.keys[index], self.scores[index]))
+        return entries
+
+    def result(self) -> list[float]:
+        """Scores in submission order, duplicates copied from their first."""
+        for primary, copies in self.duplicates.items():
+            for index in copies:
+                self.scores[index] = self.scores[primary]
+        return [float(score) for score in self.scores]
+
+
 class ScoreFuture:
     """One candidate's eventual downstream score.
 
@@ -209,13 +241,17 @@ class ScoreFuture:
 
     * cache hit (or a fidelity-ladder batch) — already resolved at
       submission;
-    * ``serial`` — fully lazy: the CV fit runs inside :meth:`result`,
-      so abandoned futures cost nothing;
+    * ``serial`` — fully lazy: the lookup, CV fit and store run inside
+      :meth:`result`, so abandoned futures cost nothing;
     * ``pool`` — in flight on a persistent worker; :meth:`result`
       blocks for the completion and falls back to a parent-side serial
       fit if the submission died with a worker.  A completion consumed
       first by the service's drain pass (at a later submission or at
       :meth:`EvaluationService.close`) resolves the future in place.
+
+    An in-batch duplicate of a pool batch is handed its first
+    occurrence's future itself, so both positions resolve with one fit
+    (with memoization on; ``cache=None`` pays one fit per submission).
 
     Futures hold references to the caller's base matrix until
     resolved; callers that mutate the base between submission and
@@ -231,7 +267,6 @@ class ScoreFuture:
     _RESOLVED = "resolved"
     _LAZY = "lazy"
     _POOL = "pool"
-    _ALIAS = "alias"
 
     def __init__(self, service, state: str) -> None:
         self._service = service
@@ -260,12 +295,6 @@ class ScoreFuture:
         future._target_token = target_token
         return future
 
-    @classmethod
-    def _make_alias(cls, primary: "ScoreFuture") -> "ScoreFuture":
-        future = cls(None, cls._ALIAS)
-        future._value = primary
-        return future
-
     def _resolve(self, score: float) -> float:
         self._value = float(score)
         self._state = self._RESOLVED
@@ -275,8 +304,6 @@ class ScoreFuture:
         """Whether :meth:`result` will return without blocking or fitting."""
         if self._state == self._RESOLVED:
             return True
-        if self._state == self._ALIAS:
-            return self._value.done()
         if self._state == self._POOL:
             executor = self._service._executor
             return executor is not None and executor.is_resolved(self._seq)
@@ -286,8 +313,6 @@ class ScoreFuture:
         """The score (blocking / computing as the backend requires)."""
         if self._state == self._RESOLVED:
             return self._value
-        if self._state == self._ALIAS:
-            return self._value.result()
         if self._state == self._POOL:
             return self._resolve(self._service._collect_pool_future(self))
         return self._resolve(self._service._resolve_lazy_future(self))
@@ -295,6 +320,12 @@ class ScoreFuture:
 
 class EvaluationService:
     """Cached, batched front-end over one :class:`DownstreamEvaluator`.
+
+    Every entry point — :meth:`evaluate`, :meth:`score_batch`,
+    :meth:`submit_batch` and the lazy serial futures — decides hit,
+    miss or surrogate serve in one step, :meth:`_triage`, which keys
+    the candidates, deduplicates within the batch and keeps the
+    partition counters.  Only what it reports missing reaches a fit.
 
     Parameters
     ----------
@@ -306,7 +337,8 @@ class EvaluationService:
         :class:`~repro.store.CacheBackend` (in-memory, SQLite-backed,
         or a write-through composition of both; see
         :func:`repro.store.make_eval_backend`).  ``None`` disables
-        memoization entirely (every lookup is a miss).
+        memoization entirely: every submission is a miss and pays its
+        own fit, in-batch duplicates included, on every entry point.
     backend:
         ``"serial"`` or ``"pool"`` — how :meth:`score_batch` /
         :meth:`submit_batch` score cache misses.
@@ -315,11 +347,8 @@ class EvaluationService:
     fidelity:
         Optional :class:`~repro.fidelity.FidelityController`.  When
         set, batch scoring routes through the multi-fidelity ladder /
-        surrogate gate (and the streaming entry points fall back to
-        batch semantics, since promotion is a batch decision).  When
-        ``None`` — the default — every code path is exactly the
-        full-CV implementation, bit-identical to a service built
-        before the fidelity subsystem existed.
+        surrogate gate (streaming falls back to batch semantics, since
+        promotion is a batch decision).  ``None`` is exact full CV.
     """
 
     def __init__(
@@ -437,29 +466,89 @@ class EvaluationService:
         )
 
     # -- scoring ------------------------------------------------------------
-    def _lookup(self, key: str) -> float | None:
-        if self.cache is None:
-            self.stats.n_cache_misses += 1
-            return None
-        score = self.cache.get(key)
-        if score is None:
-            self.stats.n_cache_misses += 1
-        else:
-            self.stats.n_cache_hits += 1
-        return score
+    def _triage(
+        self,
+        columns: list,
+        token: str | None,
+        target_token: str,
+        fidelity=None,
+        keys: list[str] | None = None,
+    ) -> _Triage:
+        """Partition submissions into hits, surrogate serves and misses.
 
-    def _store(self, key: str, score: float) -> None:
-        if self.cache is not None:
-            self.cache.put(key, score)
+        The one lookup step behind every scoring path, and the only
+        writer of ``n_cache_hits``, ``n_cache_misses`` and
+        ``n_surrogate_served``, so each submission lands in exactly one
+        of them.  Per position, in order:
 
-    def _store_many(self, items: list[tuple[str, float]]) -> None:
-        """Write a batch of fresh scores through in one backend call.
+        * a repeat of an earlier key in the batch is a hit that shares
+          its first occurrence's score (with a cache only —
+          ``cache=None`` makes every submission a miss that pays a fit);
+        * a stored score is a hit; with a ``fidelity`` ladder, so is a
+          stored rung-0 score under the fidelity-tagged key;
+        * with a ``fidelity`` surrogate gate, a tight bucket serves the
+          candidate without a fit, and a known bucket too uncertain to
+          serve is a counted fallback;
+        * anything else is a miss.
 
-        Durable backends commit the whole batch in one transaction
-        (one fsync instead of one per candidate).
+        ``keys`` replaces the candidate keys (:meth:`evaluate`'s
+        whole-matrix key); a ``None`` column skips sketch accounting.
         """
-        if self.cache is not None and items:
-            self.cache.put_many(items)
+        stats = self.stats
+        cache = self.cache
+        if keys is None:
+            keys = [
+                self._candidate_key(token, column, target_token)
+                for column in columns
+            ]
+        lowfi = fidelity is not None and fidelity.ladder is not None
+        gate = fidelity.surrogate if fidelity is not None else None
+        triage = _Triage(keys, [None] * len(keys))
+        first_of_key: dict[str, int] = {}
+        for index, (key, column) in enumerate(zip(keys, columns)):
+            if cache is not None:
+                primary = first_of_key.setdefault(key, index)
+                if primary != index:
+                    stats.n_cache_hits += 1
+                    triage.duplicates.setdefault(primary, []).append(index)
+                    continue
+                cached = cache.get(key)
+                if cached is None and lowfi:
+                    cached = cache.get(fidelity.lowfi_key(key))
+                if cached is not None:
+                    stats.n_cache_hits += 1
+                    triage.scores[index] = float(cached)
+                    continue
+            if gate is not None:
+                surrogate_key = fidelity.surrogate_key(
+                    token, target_token, self._fingerprinter.bucket(column)
+                )
+                triage.surrogate_keys[index] = surrogate_key
+                served = gate.serve(surrogate_key)
+                if served is not None:
+                    stats.n_surrogate_served += 1
+                    triage.scores[index] = float(served)
+                    triage.served.append(index)
+                    continue
+                if gate.n_observations(surrogate_key) > 0:
+                    stats.n_surrogate_fallbacks += 1
+            stats.n_cache_misses += 1
+            if column is not None:
+                self._note_near_duplicate(column)
+            triage.missing.append(index)
+        return triage
+
+    def _score_one(self, triage: _Triage, fit) -> float:
+        """A one-candidate triage's score: the cached one, or ``fit()`` stored.
+
+        The lookup → fit → store path of :meth:`evaluate` and of lazy
+        serial futures.
+        """
+        if triage.missing:
+            triage.scores[0] = fit()
+            if self.cache is not None:
+                self.cache.put(triage.keys[0], triage.scores[0])
+        return triage.scores[0]
 
     # -- pool backend plumbing ----------------------------------------------
     def _ensure_executor(self) -> "PoolExecutor":
@@ -470,7 +559,37 @@ class EvaluationService:
             self._executor = PoolExecutor(
                 self.evaluator.params(), n_workers=self.n_workers
             )
+            self.stats.pool_workers = self._executor.n_workers
         return self._executor
+
+    def _submit_pool(
+        self,
+        base: np.ndarray,
+        token: str,
+        column: np.ndarray,
+        y: np.ndarray,
+        target_token: str,
+        key: str,
+        priority: int = 0,
+    ) -> ScoreFuture:
+        """Dispatch one miss to the pool: the one pool submission path.
+
+        Batch misses (:meth:`score_batch`, promoted and audited fidelity
+        fits) and pipelined :meth:`submit_batch` futures both come
+        through here, so every pool fit is tracked for draining and
+        counted in the occupancy stats.
+        """
+        executor = self._ensure_executor()
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        seq = executor.submit(
+            token, base, target_token, y, column, priority=priority
+        )
+        future = ScoreFuture._pending(
+            self, base, token, column, y, target_token, seq, key
+        )
+        self._inflight[seq] = future
+        self.stats.pool_peak_inflight = executor.peak_inflight
+        return future
 
     def _buffer_write(self, key: str, score: float) -> None:
         """Queue a fresh score for the next batched store write."""
@@ -479,9 +598,14 @@ class EvaluationService:
             self._flush_writes()
 
     def _flush_writes(self) -> None:
-        """Write buffered fresh scores through in one backend call."""
+        """Write buffered fresh scores through in one backend call.
+
+        Durable backends commit the whole batch in one transaction
+        (one fsync instead of one per candidate).
+        """
         if self._write_buffer:
-            self._store_many(self._write_buffer)
+            if self.cache is not None:
+                self.cache.put_many(self._write_buffer)
             self._write_buffer = []
 
     def _drain_speculative(self, block: bool = False) -> None:
@@ -527,15 +651,7 @@ class EvaluationService:
     #: recovered pool before conceding a serial fallback.
     _POOL_RESUBMITS = 1
 
-    def _await_pool(
-        self,
-        seq: int,
-        base: np.ndarray,
-        token: str,
-        target_token: str,
-        column: np.ndarray,
-        y: np.ndarray,
-    ) -> float:
+    def _await_pool(self, future: ScoreFuture) -> float:
         """One pool submission's score, whatever happens to it.
 
         A completion counts as one real fit on the evaluator.  A plain
@@ -552,7 +668,9 @@ class EvaluationService:
         """
         from .executor import TaskFailed, TaskLost, TaskTimeout
 
+        self._inflight.pop(future._seq, None)
         executor = self._executor
+        seq = future._seq
         resubmits = self._POOL_RESUBMITS
         try:
             if executor is None:
@@ -566,7 +684,10 @@ class EvaluationService:
                         raise
                     resubmits -= 1
                     self._pool_retry.record_retry()
-                    seq = executor.submit(token, base, target_token, y, column)
+                    seq = executor.submit(
+                        future._token, future._base, future._target_token,
+                        future._y, future._column,
+                    )
         except TaskTimeout:
             self.stats.n_timeouts += 1
         except (TaskLost, TaskFailed):
@@ -575,32 +696,26 @@ class EvaluationService:
             self.evaluator.n_evaluations += 1
             self.evaluator.total_eval_time += seconds
             return score
-        return self._score_missing_serial(base, token, [column], [0], y)[0]
+        return self._fit_serial(future)
 
-    def _collect_pool_future(self, future: "ScoreFuture") -> float:
-        """Resolve one in-flight pool submission (with serial fallback)."""
-        self._inflight.pop(future._seq, None)
-        score = self._await_pool(
-            future._seq, future._base, future._token, future._target_token,
-            future._column, future._y,
-        )
+    def _fit_serial(self, future: ScoreFuture) -> float:
+        """Fit one future's candidate in this process."""
+        return self._score_missing_serial(
+            future._base, future._token, [future._column], [0], future._y
+        )[0]
+
+    def _collect_pool_future(self, future: ScoreFuture) -> float:
+        """Resolve one pipelined pool future; its score joins the write buffer."""
+        score = self._await_pool(future)
         self._buffer_write(future._key, score)
         return score
 
-    def _resolve_lazy_future(self, future: "ScoreFuture") -> float:
+    def _resolve_lazy_future(self, future: ScoreFuture) -> float:
         """Serial-backend future: look up, fit on a miss, store."""
-        key = self._candidate_key(
-            future._token, future._column, future._target_token
+        return self._score_one(
+            self._triage([future._column], future._token, future._target_token),
+            lambda: self._fit_serial(future),
         )
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        self._note_near_duplicate(future._column)
-        score = self._score_missing_serial(
-            future._base, future._token, [future._column], [0], future._y
-        )[0]
-        self._store(key, score)
-        return score
 
     def close(self) -> None:
         """Flush buffered writes and release backend resources.
@@ -658,18 +773,13 @@ class EvaluationService:
         of the full matrix (O(n*d)).
         """
         target_token = self._target_token(y)
-        if base_token is not None and column is not None:
-            key = self._candidate_key(base_token, column, target_token)
-        else:
-            key = self._matrix_key(X, target_token)
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        if column is not None:
-            self._note_near_duplicate(column)
-        score = self.evaluator.evaluate(X, y, folds=self._plan(y))
-        self._store(key, score)
-        return score
+        keys = None
+        if base_token is None or column is None:
+            keys = [self._matrix_key(X, target_token)]
+        return self._score_one(
+            self._triage([column], base_token, target_token, keys=keys),
+            lambda: self.evaluator.evaluate(X, y, folds=self._plan(y)),
+        )
 
     def score_batch(
         self,
@@ -680,8 +790,10 @@ class EvaluationService:
     ) -> list[float]:
         """Score base+column candidates together; returns scores in order.
 
-        All candidates share one frozen ``base`` matrix.  Cache hits are
-        resolved up front; only the misses reach the backend.
+        All candidates share one frozen ``base`` matrix.  The batch is
+        triaged up front; only its misses reach the backend, and an
+        in-batch duplicate (with a cache) shares its first occurrence's
+        fit.
         """
         if not columns:
             return []
@@ -695,46 +807,27 @@ class EvaluationService:
         base = np.asarray(base, dtype=np.float64)
         token = base_token if base_token is not None else self.token(base)
         target_token = self._target_token(y)
+        triage = self._triage(columns, token, target_token, self.fidelity)
         if self.fidelity is not None:
-            # Multi-fidelity path: the controller owns lookup order,
-            # promotion, surrogate gating, audits, and accounting; it
-            # routes whatever must pay full CV back through
-            # _dispatch_missing, so the configured backend still does
-            # the heavy lifting.
-            return self.fidelity.score_batch(
-                self, base, columns, y, token, target_token
+            # Multi-fidelity path: the controller applies its policy
+            # (rung 0, promotion, audits, surrogate fitting) to the
+            # triaged misses and routes whatever must pay full CV back
+            # through _dispatch_missing, so the configured backend
+            # still does the heavy lifting.
+            fresh = self.fidelity.score_batch(
+                self, base, columns, y, token, target_token, triage
             )
-        scores: list[float | None] = [None] * len(columns)
-        keys: list[str] = []
-        # Deduplicate *within* the batch too: only the first occurrence
-        # of a fingerprint reaches the backend, later ones are hits.
-        missing_of_key: dict[str, list[int]] = {}
-        missing: list[int] = []
-        for index, column in enumerate(columns):
-            key = self._candidate_key(token, column, target_token)
-            keys.append(key)
-            if key in missing_of_key:
-                self.stats.n_cache_hits += 1
-                missing_of_key[key].append(index)
-                continue
-            cached = self._lookup(key)
-            if cached is None:
-                missing_of_key[key] = [index]
-                missing.append(index)
-                self._note_near_duplicate(column)
-            else:
-                scores[index] = cached
-        if missing:
-            fresh = self._dispatch_missing(
-                base, token, columns, missing, y, target_token
+        else:
+            fresh = triage.fill(
+                triage.missing,
+                self._dispatch_missing(
+                    base, token, columns, triage.missing, y, target_token,
+                    triage.keys,
+                ),
             )
-            fresh_entries: list[tuple[str, float]] = []
-            for index, score in zip(missing, fresh):
-                for duplicate in missing_of_key[keys[index]]:
-                    scores[duplicate] = score
-                fresh_entries.append((keys[index], score))
-            self._store_many(fresh_entries)
-        return [float(score) for score in scores]
+        self._write_buffer.extend(fresh)
+        self._flush_writes()
+        return triage.result()
 
     def submit_batch(
         self,
@@ -796,36 +889,23 @@ class EvaluationService:
                 ScoreFuture._pending(self, base, token, column, y, target_token)
                 for column in columns
             ]
-        executor = self._ensure_executor()
+        self._ensure_executor()
         self._drain_speculative()
         self._flush_writes()
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        triage = self._triage(columns, token, target_token)
         priority = 1 if speculative else 0
-        futures: list[ScoreFuture] = []
-        first_of_key: dict[str, ScoreFuture] = {}
-        for column in columns:
-            key = self._candidate_key(token, column, target_token)
-            primary = first_of_key.get(key)
-            if primary is not None:
-                # In-batch duplicate: one submission, later ones are hits.
-                self.stats.n_cache_hits += 1
-                futures.append(ScoreFuture._make_alias(primary))
-                continue
-            cached = self._lookup(key)
-            if cached is not None:
-                future = ScoreFuture.resolved(cached)
-            else:
-                self._note_near_duplicate(column)
-                seq = executor.submit(
-                    token, base, target_token, y, column, priority=priority
-                )
-                future = ScoreFuture._pending(
-                    self, base, token, column, y, target_token, seq, key
-                )
-                self._inflight[seq] = future
-            first_of_key[key] = future
-            futures.append(future)
-        self._sync_pool_stats()
+        futures = [
+            None if score is None else ScoreFuture.resolved(score)
+            for score in triage.scores
+        ]
+        for index in triage.missing:
+            futures[index] = self._submit_pool(
+                base, token, columns[index], y, target_token,
+                triage.keys[index], priority,
+            )
+        for primary, copies in triage.duplicates.items():
+            for index in copies:
+                futures[index] = futures[primary]
         return futures
 
     def commit_speculative(self, futures: list[ScoreFuture]) -> None:
@@ -862,12 +942,6 @@ class EvaluationService:
             if self._executor.cancel(future._seq):
                 self._inflight.pop(future._seq, None)
 
-    def _sync_pool_stats(self) -> None:
-        """Mirror executor occupancy into the reportable stats."""
-        if self._executor is not None:
-            self.stats.pool_workers = self._executor.n_workers
-            self.stats.pool_peak_inflight = self._executor.peak_inflight
-
     def iter_scores_async(
         self,
         base: np.ndarray,
@@ -880,16 +954,11 @@ class EvaluationService:
         :meth:`submit_batch`, then each future's result in submission
         order, on every backend.  The consumer may stop early (e.g.
         after accepting a candidate the base matrix changes) and
-        re-issue the remainder against the new base.  ``serial``
-        futures are lazy, so abandoned candidates cost nothing.  With
-        the ``pool`` backend misses are in flight on the persistent
-        workers while earlier scores are consumed; the stragglers of
-        an abandoned stream keep running and are folded into the
-        counters and cache at the next submission or :meth:`close`.
-        Fresh scores are written to the cache store in batches (one
-        ``put_many`` per flush) rather than one put per candidate.
-        With a fidelity controller the whole batch is scored up front
-        — ladder promotion is a batch decision.
+        re-issue the remainder against the new base; abandoned
+        ``serial`` futures cost nothing, and abandoned ``pool``
+        stragglers are folded into the counters and cache at the next
+        submission or :meth:`close`.  Fresh scores reach the store in
+        batched ``put_many`` writes.
         """
         futures = self.submit_batch(base, columns, y, base_token=base_token)
         try:
@@ -908,18 +977,26 @@ class EvaluationService:
         missing: list[int],
         y: np.ndarray,
         target_token: str,
+        keys: list[str],
     ) -> list[float]:
         """Route cache misses to the configured backend (full CV).
 
         The single dispatch point for real full-fidelity fits — used by
         the exact :meth:`score_batch` path and by the fidelity
         controller for promoted and audited candidates, so both
-        backends serve both paths.
+        backends serve both paths.  Pool misses are submitted and
+        collected exactly like :meth:`submit_batch` futures (the base
+        is published once per token, each task ships its column, and a
+        crashed, failed or timed-out fit is re-scored serially).
         """
         if self.backend == "pool":
-            return self._score_missing_pool(
-                base, token, columns, missing, y, target_token
-            )
+            futures = [
+                self._submit_pool(
+                    base, token, columns[index], y, target_token, keys[index]
+                )
+                for index in missing
+            ]
+            return [self._await_pool(future) for future in futures]
         return self._score_missing_serial(base, token, columns, missing, y)
 
     def _score_missing_serial(
@@ -950,31 +1027,4 @@ class EvaluationService:
                 self._arena.trial_view(columns[index]), y, folds=folds
             )
             for index in missing
-        ]
-
-    def _score_missing_pool(
-        self,
-        base: np.ndarray,
-        token: str,
-        columns: list[np.ndarray],
-        missing: list[int],
-        y: np.ndarray,
-        target_token: str,
-    ) -> list[float]:
-        """Score cache misses on the persistent shared-memory pool.
-
-        The base matrix is published once per token; each submission
-        ships only its candidate column.  :meth:`_await_pool` collects
-        each score, so a crashed, failed or timed-out submission is
-        re-scored serially and counted — the batch always completes.
-        """
-        executor = self._ensure_executor()
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        seqs = [
-            executor.submit(token, base, target_token, y, columns[index])
-            for index in missing
-        ]
-        return [
-            self._await_pool(seq, base, token, target_token, columns[index], y)
-            for seq, index in zip(seqs, missing)
         ]

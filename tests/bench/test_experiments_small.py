@@ -5,6 +5,8 @@ with minimal arguments so its data contract is covered by the regular
 test suite too (structure, keys, value ranges — not performance).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,26 @@ class TestTable4:
         for method in ("AutoFSR", "NFS", "E-AFE_D", "E-AFE"):
             assert row[method] >= 0
         assert "TOTAL" in experiments.format_table4(rows)
+
+
+class TestAutoFSRNote:
+    """The AutoFSR column is labelled as the random search it is."""
+
+    def test_table3_notes_autofsr_column(self):
+        result = SimpleNamespace(best_score=0.5, task="C")
+        with_fsr = {"labor": {"AutoFSR": result, "E-AFE": result}}
+        without = {"labor": {"NFS": result, "E-AFE": result}}
+        assert experiments.AUTOFSR_NOTE in experiments.format_table3(with_fsr)
+        assert experiments.AUTOFSR_NOTE not in experiments.format_table3(without)
+
+    def test_table4_notes_autofsr_column(self):
+        row = {
+            "dataset": "labor", "AutoFSR": 3, "NFS": 3, "E-AFE_D": 2,
+            "E-AFE": 1,
+        }
+        rendered = experiments.format_table4([row])
+        assert rendered.endswith(experiments.AUTOFSR_NOTE)
+        assert "selection agents are not implemented" in rendered
 
 
 class TestFigure7:
