@@ -269,10 +269,12 @@ def table4_eval_counts(
 ) -> list[dict]:
     """Downstream evaluations per method for the same generation budget.
 
-    Counts candidate submissions (real fits + cache hits); comparable
-    to the paper's Table IV under the default serial backend (the
-    ``pool`` backend scores abandoned sweep remainders ahead of need,
-    inflating counts without changing scores).
+    Counts candidate submissions (``EvalStats.submissions``: cache hits
+    + cache misses + surrogate serves, so a fidelity-ladder candidate
+    that pays a rung-0 and a full fit counts once); comparable to the
+    paper's Table IV under the default serial backend (the ``pool``
+    backend scores abandoned sweep remainders ahead of need, inflating
+    counts without changing scores).
     """
     methods = ("AutoFSR", "NFS", "E-AFE_D", "E-AFE")
     config = bench_config(seed=seed)
@@ -283,11 +285,9 @@ def table4_eval_counts(
         row = {"dataset": name}
         for method in methods:
             # Exclude the one-off base evaluation: Table IV counts
-            # candidate-feature evaluations (submissions — real fits
-            # plus cache hits, since the paper's methods have no cache).
-            result = results[method]
-            submissions = result.n_downstream_evaluations + result.n_cache_hits
-            row[method] = max(submissions - 1, 0)
+            # candidate-feature evaluations (submissions, since the
+            # paper's methods have no cache).
+            row[method] = max(results[method].stats.submissions - 1, 0)
         rows.append(row)
     return rows
 
@@ -488,14 +488,12 @@ def figure9_scalability(
     Performance improvement is in score percentage points; time
     improvement is the ratio of evaluation counts (machine-independent,
     the quantity behind the paper's ">=2x" claim).  Counts are candidate
-    *submissions* (real downstream fits plus eval-cache hits): the
-    paper's methods have no cache, so submissions are the comparable
-    quantity — the cache only changes who pays for a submission.
+    *submissions* (``EvalStats.submissions``: cache hits + misses +
+    surrogate serves): the paper's methods have no cache, so
+    submissions are the comparable quantity — the cache only changes
+    who pays for a submission.
     """
     from ..datasets.generators import make_classification
-
-    def submissions(result: AFEResult) -> int:
-        return result.n_downstream_evaluations + result.n_cache_hits
 
     config = bench_config(seed=seed)
     fpe = fpe or default_fpe(method="ccws", seed=seed)
@@ -514,7 +512,8 @@ def figure9_scalability(
                 "size": n_features,
                 "performance_improvement": 100.0
                 * (ours.best_score - baseline.best_score),
-                "eval_ratio": submissions(baseline) / max(submissions(ours), 1),
+                "eval_ratio": baseline.stats.submissions
+                / max(ours.stats.submissions, 1),
             }
         )
     for n_samples in sample_counts:
@@ -531,7 +530,8 @@ def figure9_scalability(
                 "size": n_samples,
                 "performance_improvement": 100.0
                 * (ours.best_score - baseline.best_score),
-                "eval_ratio": submissions(baseline) / max(submissions(ours), 1),
+                "eval_ratio": baseline.stats.submissions
+                / max(ours.stats.submissions, 1),
             }
         )
     return sweeps

@@ -302,30 +302,27 @@ def run_single(
     fits, every cell discovered.
     """
     store = run_store if run_store is not None else active_run_store()
-    if _CELL_SINK is not None:
-        if store is None:
+    if store is None:
+        if _CELL_SINK is not None:
             raise RuntimeError(
                 "a fleet enqueue pass needs an active run store "
                 "(--store / set_run_store)"
             )
-        cell_hash = f"{config_hash(config)}|fpe:{_fpe_token(fpe)}"
-        payload = store.completed_payload(
-            task.name, method, config.seed, cell_hash
-        )
-        if payload is not None:
-            return AFEResult.from_dict(payload)
-        _CELL_SINK(task, method, config, fpe, cell_hash)
-        return _placeholder_result(task, method)
-    if store is None:
         return make_method(method, config, fpe=fpe).fit(task)
     cell_hash = f"{config_hash(config)}|fpe:{_fpe_token(fpe)}"
-    should_resume = resume_enabled() if resume is None else resume
-    if should_resume:
+    # An enqueue pass always replays completed cells instead of
+    # enqueueing them.
+    if _CELL_SINK is not None or (
+        resume_enabled() if resume is None else resume
+    ):
         payload = store.completed_payload(
             task.name, method, config.seed, cell_hash
         )
         if payload is not None:
             return AFEResult.from_dict(payload)
+    if _CELL_SINK is not None:
+        _CELL_SINK(task, method, config, fpe, cell_hash)
+        return _placeholder_result(task, method)
     owner = owner or f"pid:{os.getpid()}:{id(config):x}:{time.monotonic_ns():x}"
     store.start(task.name, method, config.seed, cell_hash, owner=owner)
     engine = make_method(method, config, fpe=fpe)

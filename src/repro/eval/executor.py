@@ -220,7 +220,6 @@ class PoolExecutor:
         self,
         evaluator_params: dict,
         n_workers: int | None = None,
-        max_segments: int = 8,
     ) -> None:
         import multiprocessing
 
@@ -230,7 +229,7 @@ class PoolExecutor:
             self._context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             self._context = multiprocessing.get_context("spawn")
-        self._store = SegmentStore(max_segments=max_segments)
+        self._store = SegmentStore()
         self._seq = 0
         self._pending: dict[int, tuple[str, str]] = {}
         self._resolved: dict[int, tuple[float | None, float, str | None]] = {}

@@ -82,9 +82,10 @@ class EvalStats:
 
     Every submission is exactly one of a cache hit, a cache miss, or a
     surrogate serve: ``n_cache_hits + n_cache_misses +
-    n_surrogate_served == submissions``.  The service's triage step is
-    the only writer of those three counters, on every entry point; an
-    in-batch duplicate is a hit with a cache and a miss without one.
+    n_surrogate_served == submissions`` (:attr:`submissions`).  The
+    service's triage step is the only writer of those three counters,
+    on every entry point; an in-batch duplicate is a hit with a cache
+    and a miss without one.
     Every speculation is later either committed or
     rolled back, so ``n_speculative_submitted == n_speculative_used +
     n_speculative_discarded`` at the end of a run.
@@ -187,6 +188,16 @@ class EvalStats:
         if not self.pool_workers:
             return 0.0
         return self.pool_peak_inflight / self.pool_workers
+
+    @property
+    def submissions(self) -> int:
+        """Candidate submissions: the hit/miss/served partition's total.
+
+        Unlike ``n_downstream_evaluations + n_cache_hits`` this counts
+        a candidate once under a fidelity ladder, where one miss may pay
+        a rung-0 fit and then a full one.
+        """
+        return self.n_cache_hits + self.n_cache_misses + self.n_surrogate_served
 
     @property
     def hit_rate(self) -> float:
@@ -357,7 +368,6 @@ class EvaluationService:
         cache: CacheBackend | None = None,
         backend: str = "serial",
         n_workers: int | None = None,
-        fold_cache: FoldCache | None = None,
         fidelity=None,
         timeout: float | None = None,
     ) -> None:
@@ -384,7 +394,7 @@ class EvaluationService:
         )
         self.stats = EvalStats()
         register_service(self)
-        self._folds = fold_cache or FoldCache()
+        self._folds = FoldCache()
         self._fingerprinter = ColumnFingerprinter(seed=evaluator.seed)
         params = evaluator.params()
         self._params_token = ":".join(

@@ -142,7 +142,18 @@ class FidelityController:
                 base, token, columns, lowfi, y, folds=folds
             )
             stats.n_lowfi_scored += len(lowfi)
-            promoted, rejected = self.ladder.promote(rung_scores)
+            # Positions sharing a key (every copy is a miss without a
+            # cache, and pays its own fits) are promoted or rejected as
+            # one unit, so identical columns report identical scores.
+            units: dict[str, list[int]] = {}
+            for p, index in enumerate(lowfi):
+                units.setdefault(triage.keys[index], []).append(p)
+            groups = list(units.values())
+            chosen, dropped = self.ladder.promote(
+                [rung_scores[group[0]] for group in groups]
+            )
+            promoted = sorted(p for unit in chosen for p in groups[unit])
+            rejected = sorted(p for unit in dropped for p in groups[unit])
             stats.n_promoted += len(promoted)
             full_positions = sorted(lowfi[p] for p in promoted)
             for p in rejected:

@@ -10,7 +10,7 @@ estimate reuses ``FoldCache``/``plan_folds`` splits and the service's
 arena exactly like a full fit, so it costs roughly
 ``rung_folds/n_splits · row_fraction`` of one).  Only the top
 ``promote_fraction`` of the batch by rung-0 score is promoted to full
-CV through whatever backend the service runs (serial, process, or the
+CV through whatever backend the service runs (serial or the
 shared-memory pool); the rest report their rung-0 estimate, tagged into
 their own cache-key namespace so a low-fidelity score can never be
 mistaken for a full one.

@@ -18,8 +18,9 @@ it back into the exact arguments
   dict.  Workers override the execution-only ``eval_store_path`` knob
   (hash-excluded, see :mod:`repro.store.runs`) to share the sweep's
   score cache without perturbing cell identity.
-* **fpe** — the FPE model's constructor identity (method, d, seed,
-  thre), rebuilt worker-side through the deterministic
+* **fpe** — the FPE model's constructor identity
+  (:func:`repro.api.plan.fpe_identity`: method, d, seed, thre), rebuilt
+  worker-side through the deterministic
   :func:`~repro.core.pretrain.default_fpe`/``pretrain_fpe`` flow.
   This pins the model exactly for the default pre-training corpus —
   the same contract run-store resume already relies on (see
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..api.plan import fpe_identity
 from ..core.engine import EngineConfig
 from ..core.fpe import FPEModel
 from ..datasets.generators import TabularTask
@@ -44,7 +46,6 @@ __all__ = [
     "SPEC_VERSION",
     "task_to_doc",
     "task_from_doc",
-    "fpe_to_doc",
     "fpe_from_doc",
 ]
 
@@ -78,18 +79,6 @@ def task_from_doc(doc: dict) -> TabularTask:
         X=frame,
         y=np.asarray(doc["y"], dtype=np.float64),
     )
-
-
-def fpe_to_doc(fpe: FPEModel | None) -> dict | None:
-    """The FPE constructor identity shipped inside a spec."""
-    if fpe is None:
-        return None
-    return {
-        "method": fpe.method,
-        "d": fpe.d,
-        "seed": fpe.seed,
-        "thre": fpe.thre,
-    }
 
 
 def fpe_from_doc(doc: dict | None) -> FPEModel | None:
@@ -141,7 +130,7 @@ class CellSpec:
             config_hash=config_hash,
             task_doc=task_to_doc(task),
             config_doc=dataclasses.asdict(config),
-            fpe_doc=fpe_to_doc(fpe),
+            fpe_doc=fpe_identity(fpe),
         )
 
     # -- wire format -------------------------------------------------------

@@ -23,9 +23,10 @@ lease, and a leader :meth:`reap_expired` re-queues the cells of dead
 workers (dead-lettering after ``max_retries``).  Every queue
 transition runs inside one ``BEGIN IMMEDIATE`` SQLite transaction —
 the write lock is taken before the candidate row is read, so two
-concurrent workers can never claim the same cell.  A ``queue_claims``
-audit log records every claim and its outcome, which is how tests and
-CI prove no cell ever ran twice.
+concurrent workers can never claim the same cell.  Every lease ends
+through one transition (``RunStore._end_lease``) that also closes the
+lease's row in the ``queue_claims`` audit log, which records every
+claim and its outcome — how tests and CI prove no cell ever ran twice.
 """
 
 from __future__ import annotations
@@ -134,6 +135,36 @@ class QueueCell:
         return (self.dataset, self.method, self.seed, self.config_hash)
 
 
+def _columns(record_type) -> str:
+    """SELECT list of a row dataclass, in field order."""
+    return ", ".join(field.name for field in dataclasses.fields(record_type))
+
+
+#: Primary-key match shared by the ``runs`` and ``queue_cells`` tables.
+_KEY_MATCH = "dataset = ? AND method = ? AND seed = ? AND config_hash = ?"
+
+#: Upsert filter on ``runs``: a row yields to a new owner unless a
+#: *different* owner is actively running it (``updated_at`` fresher
+#: than the stale cutoff bound to the trailing ``?``).
+_OWNER_GUARD = (
+    " WHERE runs.status != 'running' OR runs.owner IS NULL"
+    " OR runs.owner = excluded.owner OR runs.updated_at < ?"
+)
+
+#: A queue row holding a live lease.
+_LEASED = "status IN ('claimed', 'running')"
+
+#: Every way a lease ends: claim-log outcome -> (next status, whether
+#: the attempt is charged to the retry budget).  A charged attempt that
+#: spends ``max_retries`` dead-letters the cell instead.
+_LEASE_ENDINGS = {
+    "completed": ("completed", False),
+    "released": ("pending", False),
+    "failed": ("pending", True),
+    "expired": ("pending", True),
+}
+
+
 @dataclass(frozen=True)
 class ClaimedCell:
     """A successfully claimed cell: the work spec plus the lease token.
@@ -165,6 +196,13 @@ class RunStore(SqliteConnectionOwner):
     :class:`~repro.store.backends.SqliteConnectionOwner` and may live
     in the same database file as the score cache — the two subsystems
     use disjoint tables.
+
+    A queue lease ends through one transition in one of four
+    claim-log outcomes: ``completed`` (:meth:`complete_cell`),
+    ``released`` (:meth:`release_cell`: back to ``pending``, no retry
+    charged), ``failed`` (:meth:`fail_cell`) or ``expired``
+    (:meth:`reap_expired`).  The last two charge one retry and re-queue
+    the cell, or dead-letter it once ``max_retries`` attempts are spent.
     """
 
     _SCHEMA = """
@@ -272,6 +310,12 @@ class RunStore(SqliteConnectionOwner):
         return 0 if row is None else int(row[0])
 
     # -- writing -----------------------------------------------------------
+    def _stale_cutoff(self, stale_after: float | None) -> float:
+        """Timestamp before which a ``running`` row counts as abandoned."""
+        if stale_after is None:
+            stale_after = self.DEFAULT_STALE_AFTER
+        return time.time() - stale_after
+
     def start(
         self,
         dataset: str,
@@ -297,9 +341,6 @@ class RunStore(SqliteConnectionOwner):
         process.
         """
         owner = owner or f"pid:{os.getpid()}"
-        cutoff = time.time() - (
-            self.DEFAULT_STALE_AFTER if stale_after is None else stale_after
-        )
         with self._txn() as connection:
             connection.execute(
                 "INSERT INTO runs (dataset, method, seed, config_hash,"
@@ -309,15 +350,12 @@ class RunStore(SqliteConnectionOwner):
                 " SET status = CASE WHEN runs.status = 'completed'"
                 "   THEN 'completed' ELSE 'running' END,"
                 " owner = excluded.owner,"
-                " updated_at = excluded.updated_at "
-                "WHERE runs.status != 'running' OR runs.owner IS NULL"
-                " OR runs.owner = excluded.owner OR runs.updated_at < ?",
+                " updated_at = excluded.updated_at" + _OWNER_GUARD,
                 (dataset, method, seed, config_hash, owner, time.time(),
-                 cutoff),
+                 self._stale_cutoff(stale_after)),
             )
             row = connection.execute(
-                "SELECT owner FROM runs WHERE dataset = ? AND method = ?"
-                " AND seed = ? AND config_hash = ?",
+                "SELECT owner FROM runs WHERE " + _KEY_MATCH,
                 (dataset, method, seed, config_hash),
             ).fetchone()
         return row is not None and row[0] == owner
@@ -341,32 +379,20 @@ class RunStore(SqliteConnectionOwner):
         the winner's payload is the one that lands.  Completed rows and
         stale running rows are always overwritable.
         """
-        cutoff = time.time() - (
-            self.DEFAULT_STALE_AFTER if stale_after is None else stale_after
-        )
         guard = ""
         parameters: list = [
-            dataset,
-            method,
-            seed,
-            config_hash,
-            payload.get("best_score"),
-            payload.get("n_downstream_evaluations"),
-            payload.get("n_cache_hits"),
-            payload.get("n_cache_misses"),
-            payload.get("wall_time"),
-            json.dumps(payload),
-            time.time(),
-            owner,
+            dataset, method, seed, config_hash,
+            *(payload.get(name) for name in (
+                "best_score", "n_downstream_evaluations", "n_cache_hits",
+                "n_cache_misses", "wall_time",
+            )),
+            json.dumps(payload), time.time(), owner,
         ]
         if owner is not None:
-            guard = (
-                " WHERE runs.status != 'running' OR runs.owner IS NULL"
-                " OR runs.owner = excluded.owner OR runs.updated_at < ?"
-            )
-            parameters.append(cutoff)
+            guard = _OWNER_GUARD
+            parameters.append(self._stale_cutoff(stale_after))
         with self._txn() as connection:
-            connection.execute(
+            changed = connection.execute(
                 "INSERT INTO runs (dataset, method, seed, config_hash,"
                 " status, best_score, n_evaluations, n_cache_hits,"
                 " n_cache_misses, wall_time, payload, updated_at, owner)"
@@ -382,8 +408,7 @@ class RunStore(SqliteConnectionOwner):
                 " updated_at = excluded.updated_at,"
                 " owner = excluded.owner" + guard,
                 parameters,
-            )
-            changed = connection.execute("SELECT changes()").fetchone()[0]
+            ).rowcount
         return bool(changed)
 
     # -- reading -----------------------------------------------------------
@@ -396,8 +421,8 @@ class RunStore(SqliteConnectionOwner):
         ``None`` — a resumed sweep re-runs them.
         """
         row = self._connection().execute(
-            "SELECT payload FROM runs WHERE dataset = ? AND method = ? AND"
-            " seed = ? AND config_hash = ? AND status = 'completed'",
+            "SELECT payload FROM runs WHERE status = 'completed' AND "
+            + _KEY_MATCH,
             (dataset, method, seed, config_hash),
         ).fetchone()
         if row is None or row[0] is None:
@@ -450,9 +475,7 @@ class RunStore(SqliteConnectionOwner):
 
         def query():
             return self._connection().execute(
-                "SELECT dataset, method, seed, config_hash, status,"
-                " best_score, n_evaluations, n_cache_hits, n_cache_misses,"
-                " wall_time, updated_at,"
+                f"SELECT {_columns(RunRecord)},"
                 " json_extract(payload, '$.feature_plan')"
                 " FROM runs WHERE status = 'completed'"
                 " AND json_extract(payload, '$.feature_plan') IS NOT NULL"
@@ -466,7 +489,7 @@ class RunStore(SqliteConnectionOwner):
             # inside the policy; only persistent failures escape.
             rows = self.retry.call(query)
             return [
-                (RunRecord(*row[:11]), json.loads(row[11])) for row in rows
+                (RunRecord(*row[:-1]), json.loads(row[-1])) for row in rows
             ]
         except sqlite3.OperationalError as error:
             if "no such function" in str(error).lower():
@@ -505,22 +528,26 @@ class RunStore(SqliteConnectionOwner):
                 out.append((record, plan))
         return out
 
-    def records(self, status: str | None = None) -> list[RunRecord]:
-        """Every stored cell (optionally filtered by status)."""
-        query = (
-            "SELECT dataset, method, seed, config_hash, status, best_score,"
-            " n_evaluations, n_cache_hits, n_cache_misses, wall_time,"
-            " updated_at FROM runs"
-        )
+    def _select(self, record_type, table: str, status: str | None,
+                order: str) -> list:
+        """Every row of ``table`` as ``record_type`` (optional status)."""
+        query = f"SELECT {_columns(record_type)} FROM {table}"
         parameters: tuple = ()
         if status is not None:
             query += " WHERE status = ?"
             parameters = (status,)
-        query += " ORDER BY dataset, method, seed"
         return [
-            RunRecord(*row)
-            for row in self._connection().execute(query, parameters)
+            record_type(*row)
+            for row in self._connection().execute(
+                f"{query} ORDER BY {order}", parameters
+            )
         ]
+
+    def records(self, status: str | None = None) -> list[RunRecord]:
+        """Every stored cell (optionally filtered by status)."""
+        return self._select(
+            RunRecord, "runs", status, "dataset, method, seed"
+        )
 
     def counts(self) -> dict[str, int]:
         """Row counts by status, e.g. ``{"completed": 12, "running": 1}``."""
@@ -563,7 +590,7 @@ class RunStore(SqliteConnectionOwner):
         inserted = 0
         with self._txn() as connection:
             for dataset, method, seed, cell_hash, spec in cells:
-                connection.execute(
+                inserted += connection.execute(
                     "INSERT INTO queue_cells (dataset, method, seed,"
                     " config_hash, status, spec, max_retries, enqueued_at,"
                     " updated_at) VALUES (?, ?, ?, ?, 'pending', ?, ?, ?, ?)"
@@ -571,24 +598,16 @@ class RunStore(SqliteConnectionOwner):
                     " DO NOTHING",
                     (dataset, method, seed, cell_hash, spec, max_retries,
                      now, now),
-                )
-                inserted += connection.execute(
-                    "SELECT changes()"
-                ).fetchone()[0]
+                ).rowcount
                 if requeue_dead:
-                    connection.execute(
-                        "UPDATE queue_cells SET status = 'pending',"
-                        " retries = 0, last_error = NULL, worker_id = NULL,"
-                        " lease_token = NULL, lease_expires = NULL,"
-                        " heartbeat_at = NULL, max_retries = ?,"
-                        " updated_at = ?"
-                        " WHERE dataset = ? AND method = ? AND seed = ?"
-                        " AND config_hash = ? AND status = 'dead'",
-                        (max_retries, now, dataset, method, seed, cell_hash),
-                    )
+                    # Dead rows hold no lease: _end_lease cleared it.
                     inserted += connection.execute(
-                        "SELECT changes()"
-                    ).fetchone()[0]
+                        "UPDATE queue_cells SET status = 'pending',"
+                        " retries = 0, last_error = NULL, max_retries = ?,"
+                        " updated_at = ? WHERE status = 'dead' AND "
+                        + _KEY_MATCH,
+                        (max_retries, now, dataset, method, seed, cell_hash),
+                    ).rowcount
         return inserted
 
     # -- fleet queue: worker protocol -------------------------------------
@@ -626,9 +645,8 @@ class RunStore(SqliteConnectionOwner):
             connection.execute(
                 "UPDATE queue_cells SET status = 'claimed', worker_id = ?,"
                 " lease_token = ?, lease_expires = ?, heartbeat_at = ?,"
-                " claim_count = claim_count + 1, updated_at = ?"
-                " WHERE dataset = ? AND method = ? AND seed = ?"
-                " AND config_hash = ?",
+                " claim_count = claim_count + 1, updated_at = ? WHERE "
+                + _KEY_MATCH,
                 (worker_id, token, expires, now, now, dataset, method, seed,
                  cell_hash),
             )
@@ -639,26 +657,16 @@ class RunStore(SqliteConnectionOwner):
                 (dataset, method, seed, cell_hash, worker_id, token, now),
             )
         return ClaimedCell(
-            dataset=dataset,
-            method=method,
-            seed=seed,
-            config_hash=cell_hash,
-            spec=spec,
-            token=token,
-            retries=retries,
-            lease_expires=expires,
+            *row[:5], token=token, retries=retries, lease_expires=expires
         )
 
     def mark_running(self, token: str) -> bool:
         """Transition a claimed cell to ``running`` (work has begun)."""
-        self._connection().execute(
+        return bool(self._connection().execute(
             "UPDATE queue_cells SET status = 'running', updated_at = ?"
             " WHERE lease_token = ? AND status = 'claimed'",
             (time.time(), token),
-        )
-        return bool(
-            self._connection().execute("SELECT changes()").fetchone()[0]
-        )
+        ).rowcount)
 
     def heartbeat(self, token: str, lease_ttl: float = 60.0) -> bool:
         """Extend a live lease; False means the lease was reaped.
@@ -669,84 +677,76 @@ class RunStore(SqliteConnectionOwner):
         any late write is a no-op.
         """
         now = time.time()
-        self._connection().execute(
+        return bool(self._connection().execute(
             "UPDATE queue_cells SET heartbeat_at = ?, lease_expires = ?"
-            " WHERE lease_token = ? AND status IN ('claimed', 'running')",
+            f" WHERE lease_token = ? AND {_LEASED}",
             (now, now + lease_ttl, token),
+        ).rowcount)
+
+    @staticmethod
+    def _end_lease(
+        connection,
+        token: str,
+        outcome: str,
+        now: float | None = None,
+        error: str | None = None,
+    ) -> bool:
+        """End the live lease ``token`` as ``outcome``; False if stale.
+
+        The one lease-ending transition, run inside the caller's
+        :meth:`_txn`: it picks the next status from ``_LEASE_ENDINGS``,
+        charges a retry where the outcome requires one (dead-lettering
+        once ``max_retries`` attempts are spent), clears the lease
+        columns and closes the lease's ``queue_claims`` row.  A
+        ``failed`` outcome records ``error``; an ``expired`` one keeps
+        an earlier error or records ``"lease expired"``.
+        """
+        now = time.time() if now is None else now
+        row = connection.execute(
+            "SELECT retries, max_retries, last_error FROM queue_cells"
+            f" WHERE lease_token = ? AND {_LEASED}",
+            (token,),
+        ).fetchone()
+        if row is None:
+            return False
+        retries, max_retries, last_error = row
+        status, charged = _LEASE_ENDINGS[outcome]
+        if charged:
+            retries += 1
+            if retries >= max_retries:
+                status = "dead"
+        if outcome == "failed":
+            last_error = error
+        elif outcome == "expired" and last_error is None:
+            last_error = "lease expired"
+        connection.execute(
+            "UPDATE queue_cells SET status = ?, retries = ?, last_error = ?,"
+            " worker_id = NULL, lease_token = NULL, lease_expires = NULL,"
+            " heartbeat_at = NULL, updated_at = ? WHERE lease_token = ?",
+            (status, retries, last_error, now, token),
         )
-        return bool(
-            self._connection().execute("SELECT changes()").fetchone()[0]
+        connection.execute(
+            "UPDATE queue_claims SET outcome = ?, resolved_at = ?"
+            " WHERE lease_token = ? AND outcome IS NULL",
+            (outcome, now, token),
         )
+        return True
 
     def complete_cell(self, token: str) -> bool:
         """Mark a leased cell completed; False on a stale token."""
-        now = time.time()
         with self._txn() as connection:
-            connection.execute(
-                "UPDATE queue_cells SET status = 'completed',"
-                " worker_id = NULL, lease_token = NULL,"
-                " lease_expires = NULL, updated_at = ?"
-                " WHERE lease_token = ? AND status IN ('claimed', 'running')",
-                (now, token),
-            )
-            changed = connection.execute("SELECT changes()").fetchone()[0]
-            if changed:
-                connection.execute(
-                    "UPDATE queue_claims SET outcome = 'completed',"
-                    " resolved_at = ? WHERE lease_token = ?"
-                    " AND outcome IS NULL",
-                    (now, token),
-                )
-        return bool(changed)
+            return self._end_lease(connection, token, "completed")
 
     def release_cell(self, token: str) -> bool:
         """Return a leased cell to pending without charging a retry."""
-        now = time.time()
         with self._txn() as connection:
-            connection.execute(
-                "UPDATE queue_cells SET status = 'pending',"
-                " worker_id = NULL, lease_token = NULL,"
-                " lease_expires = NULL, heartbeat_at = NULL, updated_at = ?"
-                " WHERE lease_token = ? AND status IN ('claimed', 'running')",
-                (now, token),
-            )
-            changed = connection.execute("SELECT changes()").fetchone()[0]
-            if changed:
-                connection.execute(
-                    "UPDATE queue_claims SET outcome = 'released',"
-                    " resolved_at = ? WHERE lease_token = ?"
-                    " AND outcome IS NULL",
-                    (now, token),
-                )
-        return bool(changed)
+            return self._end_lease(connection, token, "released")
 
     def fail_cell(self, token: str, error: str | None = None) -> bool:
         """Charge a failed attempt: re-queue, or dead-letter when the
         retry budget (``max_retries`` attempts in total) is spent."""
-        now = time.time()
         with self._txn() as connection:
-            row = connection.execute(
-                "SELECT retries, max_retries FROM queue_cells"
-                " WHERE lease_token = ? AND status IN ('claimed', 'running')",
-                (token,),
-            ).fetchone()
-            if row is None:
-                return False
-            retries = row[0] + 1
-            status = "dead" if retries >= row[1] else "pending"
-            connection.execute(
-                "UPDATE queue_cells SET status = ?, retries = ?,"
-                " last_error = ?, worker_id = NULL, lease_token = NULL,"
-                " lease_expires = NULL, heartbeat_at = NULL, updated_at = ?"
-                " WHERE lease_token = ?",
-                (status, retries, error, now, token),
-            )
-            connection.execute(
-                "UPDATE queue_claims SET outcome = 'failed', resolved_at = ?"
-                " WHERE lease_token = ? AND outcome IS NULL",
-                (now, token),
-            )
-        return True
+            return self._end_lease(connection, token, "failed", error=error)
 
     # -- fleet queue: leader protocol -------------------------------------
     def reap_expired(self, now: float | None = None) -> list[QueueCell]:
@@ -754,46 +754,28 @@ class RunStore(SqliteConnectionOwner):
 
         The leader's watchdog calls this periodically: cells whose
         worker stopped heartbeating past the lease TTL are presumed
-        dead, charged one retry, and made claimable again — or
-        dead-lettered once ``max_retries`` attempts are spent.  Returns
-        the reaped cells (post-transition state) so callers can log
-        exactly what was re-queued.  Safe to call concurrently: the
-        whole sweep is one immediate transaction, so each expired lease
-        is reaped exactly once.
+        dead and their leases end as ``expired`` — one retry charged,
+        then claimable again or dead-lettered once ``max_retries``
+        attempts are spent.  Returns the reaped cells (post-transition
+        state) so callers can log exactly what was re-queued.  Safe to
+        call concurrently: the whole sweep is one immediate
+        transaction, so each expired lease is reaped exactly once.
         """
         now = time.time() if now is None else now
         reaped: list[QueueCell] = []
         with self._txn() as connection:
             rows = connection.execute(
-                "SELECT dataset, method, seed, config_hash, lease_token,"
-                " retries, max_retries FROM queue_cells"
-                " WHERE status IN ('claimed', 'running')"
-                " AND lease_expires < ?",
+                "SELECT lease_token, dataset, method, seed, config_hash"
+                f" FROM queue_cells WHERE {_LEASED} AND lease_expires < ?",
                 (now,),
             ).fetchall()
-            for dataset, method, seed, cell_hash, token, retries, cap in rows:
-                retries += 1
-                status = "dead" if retries >= cap else "pending"
-                connection.execute(
-                    "UPDATE queue_cells SET status = ?, retries = ?,"
-                    " last_error = COALESCE(last_error, 'lease expired'),"
-                    " worker_id = NULL, lease_token = NULL,"
-                    " lease_expires = NULL, heartbeat_at = NULL,"
-                    " updated_at = ?"
-                    " WHERE dataset = ? AND method = ? AND seed = ?"
-                    " AND config_hash = ?",
-                    (status, retries, now, dataset, method, seed, cell_hash),
-                )
-                connection.execute(
-                    "UPDATE queue_claims SET outcome = 'expired',"
-                    " resolved_at = ? WHERE lease_token = ?"
-                    " AND outcome IS NULL",
-                    (now, token),
-                )
-                reaped.append(
-                    self._queue_cell(connection, dataset, method, seed,
-                                     cell_hash)
-                )
+            for token, *key in rows:
+                self._end_lease(connection, token, "expired", now)
+                reaped.append(QueueCell(*connection.execute(
+                    f"SELECT {_columns(QueueCell)} FROM queue_cells"
+                    " WHERE " + _KEY_MATCH,
+                    key,
+                ).fetchone()))
         return reaped
 
     def prune_queue_debris(self, now: float | None = None) -> dict[str, int]:
@@ -808,48 +790,22 @@ class RunStore(SqliteConnectionOwner):
         now = time.time() if now is None else now
         reaped = len(self.reap_expired(now))
         with self._txn() as connection:
-            connection.execute(
+            orphans = connection.execute(
                 "UPDATE queue_claims SET outcome = 'expired',"
                 " resolved_at = ? WHERE outcome IS NULL AND lease_token"
                 " NOT IN (SELECT lease_token FROM queue_cells"
                 "         WHERE lease_token IS NOT NULL)",
                 (now,),
-            )
-            orphans = connection.execute("SELECT changes()").fetchone()[0]
+            ).rowcount
         return {"reaped": reaped, "orphan_claims": int(orphans)}
 
     # -- fleet queue: introspection ---------------------------------------
-    def _queue_cell(
-        self, connection, dataset: str, method: str, seed: int,
-        cell_hash: str,
-    ) -> QueueCell:
-        row = connection.execute(
-            "SELECT dataset, method, seed, config_hash, status, worker_id,"
-            " lease_expires, heartbeat_at, retries, max_retries,"
-            " claim_count, last_error, enqueued_at, updated_at"
-            " FROM queue_cells WHERE dataset = ? AND method = ? AND"
-            " seed = ? AND config_hash = ?",
-            (dataset, method, seed, cell_hash),
-        ).fetchone()
-        return QueueCell(*row)
-
     def queue_cells(self, status: str | None = None) -> list[QueueCell]:
         """Every queue row (optionally filtered by status)."""
-        query = (
-            "SELECT dataset, method, seed, config_hash, status, worker_id,"
-            " lease_expires, heartbeat_at, retries, max_retries,"
-            " claim_count, last_error, enqueued_at, updated_at"
-            " FROM queue_cells"
+        return self._select(
+            QueueCell, "queue_cells", status,
+            "enqueued_at, dataset, method, seed",
         )
-        parameters: tuple = ()
-        if status is not None:
-            query += " WHERE status = ?"
-            parameters = (status,)
-        query += " ORDER BY enqueued_at, dataset, method, seed"
-        return [
-            QueueCell(*row)
-            for row in self._connection().execute(query, parameters)
-        ]
 
     def queue_counts(self) -> dict[str, int]:
         """Queue rows by status, e.g. ``{"pending": 3, "claimed": 2}``."""
@@ -889,20 +845,14 @@ class RunStore(SqliteConnectionOwner):
         asserts every completed cell appears here exactly once with
         outcome ``completed``.
         """
+        columns = (
+            "dataset", "method", "seed", "config_hash", "worker_id",
+            "claimed_at", "outcome", "resolved_at",
+        )
         return [
-            {
-                "dataset": row[0],
-                "method": row[1],
-                "seed": row[2],
-                "config_hash": row[3],
-                "worker_id": row[4],
-                "claimed_at": row[5],
-                "outcome": row[6],
-                "resolved_at": row[7],
-            }
+            dict(zip(columns, row))
             for row in self._connection().execute(
-                "SELECT dataset, method, seed, config_hash, worker_id,"
-                " claimed_at, outcome, resolved_at FROM queue_claims"
+                f"SELECT {', '.join(columns)} FROM queue_claims"
                 " ORDER BY claim_id"
             )
         ]

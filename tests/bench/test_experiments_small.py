@@ -65,6 +65,61 @@ class TestTable4:
         assert "TOTAL" in experiments.format_table4(rows)
 
 
+def _partition(result):
+    stats = result.stats
+    return stats.n_cache_hits + stats.n_cache_misses + stats.n_surrogate_served
+
+
+class TestSubmissionCounts:
+    """Table IV and Figure 9 count each candidate once, ladder or not.
+
+    Under a fidelity ladder one miss may pay a rung-0 fit and then a
+    full fit, so ``fits + hits`` over-counts; the hit/miss/served
+    partition does not.  With fidelity off the two counts agree.
+    """
+
+    @pytest.mark.parametrize("fidelity", ["off", "ladder"])
+    def test_table4_counts_the_partition(self, fpe, monkeypatch, fidelity):
+        monkeypatch.setenv("REPRO_EVAL_FIDELITY", fidelity)
+        results = {}
+        run_methods = experiments.run_methods
+
+        def recording(*args, **kwargs):
+            results.update(run_methods(*args, **kwargs))
+            return results
+
+        monkeypatch.setattr(experiments, "run_methods", recording)
+        row = experiments.table4_eval_counts(datasets=("labor",), fpe=fpe)[0]
+        for method, result in results.items():
+            assert row[method] == _partition(result) - 1
+            if fidelity == "off":
+                assert row[method] == (
+                    result.n_downstream_evaluations + result.n_cache_hits - 1
+                )
+        if fidelity == "ladder":
+            assert any(r.stats.n_promoted for r in results.values())
+
+    def test_figure9_counts_the_partition(self, fpe, monkeypatch):
+        monkeypatch.setenv("REPRO_EVAL_FIDELITY", "ladder")
+        results = []
+        run_single = experiments.run_single
+
+        def recording(*args, **kwargs):
+            results.append(run_single(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, "run_single", recording)
+        sweeps = experiments.figure9_scalability(
+            feature_counts=(4,), sample_counts=(80,), fpe=fpe
+        )
+        points = sweeps["features"] + sweeps["samples"]
+        for point, (ours, baseline) in zip(points, zip(*[iter(results)] * 2)):
+            assert point["eval_ratio"] == (
+                _partition(baseline) / max(_partition(ours), 1)
+            )
+        assert any(r.stats.n_promoted for r in results)
+
+
 class TestAutoFSRNote:
     """The AutoFSR column is labelled as the random search it is."""
 

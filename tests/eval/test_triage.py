@@ -89,10 +89,7 @@ def test_partition(workload, entry, backend, cached, fidelity):
     assert stats.n_surrogate_served == 0  # a fresh gate has no buckets
     hits = 2 if cached else 0
     assert stats.n_cache_hits == hits
-    if cached or fidelity == "off":
-        # Uncached under a ladder, the two copies are ranked separately
-        # at rung 0, so only one of them may be promoted to full CV.
-        assert scores[-1] == scores[0]
+    assert scores[-1] == scores[0]
     if fidelity == "off" or entry == "evaluate":
         # evaluate never routes through the fidelity ladder.
         assert scores == expected

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api.plan import fpe_identity
 from repro.bench.harness import bench_config
 from repro.core.fpe import FPEModel
 from repro.datasets import make_classification
@@ -12,7 +13,6 @@ from repro.fleet.spec import (
     SPEC_VERSION,
     CellSpec,
     fpe_from_doc,
-    fpe_to_doc,
     task_from_doc,
     task_to_doc,
 )
@@ -44,20 +44,20 @@ class TestTaskRoundTrip:
 
 class TestFpeRoundTrip:
     def test_none_stays_none(self):
-        assert fpe_to_doc(None) is None
+        assert fpe_identity(None) is None
         assert fpe_from_doc(None) is None
 
     def test_default_identity_rebuilds_same_model(self):
         from repro.core.pretrain import default_fpe
 
         model = default_fpe(seed=0)
-        rebuilt = fpe_from_doc(fpe_to_doc(model))
+        rebuilt = fpe_from_doc(fpe_identity(model))
         assert (rebuilt.method, rebuilt.d, rebuilt.seed, rebuilt.thre) == (
             model.method, model.d, model.seed, model.thre,
         )
         # default_fpe is process-cached, so a worker draining many
         # cells sharing one FPE identity pre-trains at most once.
-        assert fpe_from_doc(fpe_to_doc(model)) is rebuilt
+        assert fpe_from_doc(fpe_identity(model)) is rebuilt
 
     def test_custom_threshold_goes_through_pretrain(self):
         doc = {"method": "ccws", "d": 8, "seed": 1, "thre": 0.05}

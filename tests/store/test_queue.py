@@ -7,6 +7,7 @@ never corrupt the queue, and the start()/finish() ownership protocol
 resolves a two-process race to one winner.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -160,6 +161,81 @@ class TestLeasesAndRetries:
         debris = store.prune_queue_debris()
         assert debris["reaped"] == 1
         assert store.queue_counts() == {"pending": 2}
+
+
+def _reap(store, claim):
+    reaped = store.reap_expired(now=claim.lease_expires + 1.0)
+    # reap_expired reports the post-transition rows it touched.
+    assert reaped in ([], store.queue_cells())
+    return bool(reaped)
+
+
+#: ending -> (max_retries, call, status, retries, last_error, outcome)
+LEASE_ENDINGS = {
+    "complete": (
+        3, lambda s, c: s.complete_cell(c.token),
+        "completed", 0, None, "completed",
+    ),
+    "release": (
+        3, lambda s, c: s.release_cell(c.token),
+        "pending", 0, None, "released",
+    ),
+    "fail": (
+        3, lambda s, c: s.fail_cell(c.token, error="boom"),
+        "pending", 1, "boom", "failed",
+    ),
+    "fail_at_budget": (
+        1, lambda s, c: s.fail_cell(c.token, error="boom"),
+        "dead", 1, "boom", "failed",
+    ),
+    "reap": (3, _reap, "pending", 1, "lease expired", "expired"),
+    "reap_at_budget": (1, _reap, "dead", 1, "lease expired", "expired"),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(LEASE_ENDINGS))
+def test_queue_transition_rows(store, ending):
+    """claim -> mark_running -> one lease ending, full row after each."""
+    max_retries, end, status, retries, last_error, outcome = (
+        LEASE_ENDINGS[ending]
+    )
+    store.enqueue_cells(_cells(1), max_retries=max_retries)
+    pending = store.queue_cells()[0]
+    expected = {
+        "dataset": "ds0", "method": "NFS", "seed": 0, "config_hash": "hash",
+        "status": "pending", "worker_id": None, "lease_expires": None,
+        "heartbeat_at": None, "retries": 0, "max_retries": max_retries,
+        "claim_count": 0, "last_error": None,
+        "enqueued_at": pending.enqueued_at,
+    }
+
+    def check(log_outcome):
+        cell = dataclasses.asdict(store.queue_cells()[0])
+        assert cell.pop("updated_at") >= pending.updated_at
+        assert cell == expected
+        assert [row["outcome"] for row in store.claim_log()] == [log_outcome]
+
+    claim = store.claim_cell("w0", lease_ttl=30.0)
+    expected.update(
+        status="claimed", worker_id="w0", lease_expires=claim.lease_expires,
+        heartbeat_at=pytest.approx(claim.lease_expires - 30.0),
+        claim_count=1,
+    )
+    check(None)
+    assert store.mark_running(claim.token)
+    expected["status"] = "running"
+    check(None)
+    assert end(store, claim)
+    expected.update(
+        status=status, retries=retries, last_error=last_error,
+        worker_id=None, lease_expires=None, heartbeat_at=None,
+    )
+    check(outcome)
+    assert store.claim_log()[0]["resolved_at"] is not None
+    # The lease is over: its token no longer moves the row.
+    assert store.heartbeat(claim.token) is False
+    assert end(store, claim) is False
+    check(outcome)
 
 
 class TestClaimAuditLog:
