@@ -4,21 +4,28 @@ Each ``<exp>()`` function runs the experiment at the active profile and
 returns structured data; each ``format_<exp>()`` renders it as the text
 analogue of the paper's table/figure.  ``benchmarks/`` wraps these with
 pytest-benchmark; ``EXPERIMENTS.md`` records paper-vs-measured values.
+
+:func:`build_experiment_call` resolves an experiment id into its call;
+the bench CLI and the fleet leader both go through it.
 """
 
 from __future__ import annotations
 
+import argparse
+import inspect
+import sys
 import time
 from collections.abc import Sequence
 
 import numpy as np
 
+from ..api.registry import searcher_registry
 from ..core.engine import AFEResult
 from ..core.evaluation import DownstreamEvaluator
 from ..core.fpe import FPEModel, label_features
 from ..core.pretrain import default_fpe, make_evaluator_factory
 from ..datasets.public import public_corpus
-from ..datasets.registry import load as load_dataset
+from ..datasets.registry import dataset_names, load as load_dataset
 from .curves import curve_points
 from .harness import (
     ALL_METHODS,
@@ -56,6 +63,8 @@ __all__ = [
     "format_ablation_q6",
     "related_work_spectrum",
     "format_related_work",
+    "build_experiment_call",
+    "add_subset_flags",
 ]
 
 #: Table I / Figure 1 use these four datasets.
@@ -650,3 +659,88 @@ def format_figure9(sweeps: dict[str, list[dict]]) -> str:
                 ]
             )
     return format_table(["Axis", "Size", "PerfImprove(pp)", "EvalRatio"], rows)
+
+
+#: experiment id -> (runner, formatter).  Which of ``datasets``,
+#: ``methods`` and ``fpe`` a runner takes is read from its signature.
+_EXPERIMENTS = {
+    "table1": (table1_nfs_time, format_table1),
+    "figure1": (figure1_sample_size, format_figure1),
+    "figure6": (figure6_threshold, format_figure6),
+    "table3": (table3_main, format_table3),
+    "table4": (table4_eval_counts, format_table4),
+    "figure7": (figure7_learning_curves, format_figure7),
+    "figure8": (figure8_sensitivity, format_figure8),
+    "table5": (table5_downstream_swap, format_table5),
+    "table6": (table6_pvalues, format_table6),
+    "figure9": (figure9_scalability, format_figure9),
+    "ablation_q6": (ablation_q6_signatures, format_ablation_q6),
+    "related_work": (related_work_spectrum, format_related_work),
+}
+
+
+def build_experiment_call(
+    experiment: str,
+    seed: int = 0,
+    datasets: Sequence[str] | None = None,
+    methods: Sequence[str] | None = None,
+    fpe: FPEModel | None = None,
+):
+    """Resolve an experiment id into ``(runner, formatter, kwargs)``.
+
+    The one place an experiment call is built: the bench CLI, its
+    ``report`` mode and the fleet leader's enqueue and render passes
+    all use it.  A ``datasets`` or ``methods`` subset, or an ``fpe``,
+    is accepted exactly when the runner's signature has that
+    parameter; anything else, unknown dataset and method names
+    included, raises ``ValueError`` before any FPE is pre-trained.  A
+    runner taking ``fpe`` gets the given model, else the process-wide
+    ``default_fpe(seed=seed)``.
+    """
+    if experiment not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    runner, formatter = _EXPERIMENTS[experiment]
+    accepted = inspect.signature(runner).parameters
+    kwargs: dict = {"seed": seed}
+    for name, values, known, listing in (
+        ("datasets", datasets, dataset_names(),
+         "repro.datasets.dataset_names()"),
+        ("methods", methods, searcher_registry(),
+         "`python -m repro.bench methods`"),
+    ):
+        if not values:
+            continue
+        unknown = [value for value in values if value not in known]
+        if unknown:
+            raise ValueError(f"unknown {name} {unknown}; see {listing}")
+        if name not in accepted:
+            raise ValueError(f"--{name} is not supported by {experiment}")
+        kwargs[name] = list(values)
+    if "fpe" in accepted:
+        if fpe is None:
+            print("pre-training FPE model ...", file=sys.stderr)
+            fpe = default_fpe(seed=seed)
+        kwargs["fpe"] = fpe
+    elif fpe is not None:
+        raise ValueError(f"{experiment} takes no FPE model")
+    return runner, formatter, kwargs
+
+
+def add_subset_flags(parser: argparse.ArgumentParser) -> None:
+    """``--seed``, ``--datasets`` and ``--methods``: the experiment-call
+    flags shared by ``python -m repro.bench`` and ``repro.fleet leader``."""
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--datasets",
+        nargs="+",
+        default=None,
+        help="dataset subset (only where the experiment takes one)",
+    )
+    parser.add_argument(
+        "--methods",
+        nargs="+",
+        default=None,
+        help="method subset (only where the experiment takes one); any "
+        "name in the searcher registry works, including third-party "
+        "searchers registered via REPRO_SEARCHER_PLUGINS",
+    )

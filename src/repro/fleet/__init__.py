@@ -4,8 +4,8 @@ One SQLite store file is the whole coordination plane: the leader
 (:class:`FleetLeader`) discovers a sweep's cells by running the
 unchanged experiment function under the harness cell sink and enqueues
 them as self-describing :class:`CellSpec` documents; N workers
-(:class:`FleetWorker`, ``python -m repro.bench <exp> --store s.db
---worker``) atomically claim cells under heartbeated leases and run
+(:class:`FleetWorker`, started by ``python -m repro.fleet worker
+s.db``) atomically claim cells under heartbeated leases and run
 them through the existing ``run_single`` choke point; the leader's
 watchdog reaps expired leases (re-queue, then dead-letter) and renders
 the final tables bit-identically to a serial ``--resume`` run.

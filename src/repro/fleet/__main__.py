@@ -4,7 +4,7 @@
     python -m repro.fleet leader sweep.db --exp table3 --seed 0
 
     # 2. workers (any number, any host sharing the file):
-    python -m repro.bench table3 --store sweep.db --worker
+    python -m repro.fleet worker sweep.db --worker-id w0
 
     # 3. anyone, any time:
     python -m repro.fleet status sweep.db --watch 2
@@ -14,7 +14,7 @@ re-runs the experiment against the completed store — every cell
 replays from its payload, so the printed table is bit-identical to a
 serial run.  ``--enqueue-only`` exits right after the enqueue pass
 (fire-and-forget sweeps); ``--no-render`` supervises but skips the
-final table.
+final table.  ``worker`` is the one command that starts a worker.
 """
 
 from __future__ import annotations
@@ -23,24 +23,9 @@ import argparse
 import sys
 import time
 
+from ..bench.experiments import add_subset_flags
 from ..store import RunStore
 from .leader import FleetLeader, render_queue_status
-
-
-def _add_subset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--datasets",
-        nargs="+",
-        default=None,
-        help="dataset subset (where the experiment takes one)",
-    )
-    parser.add_argument(
-        "--methods",
-        nargs="+",
-        default=None,
-        help="method subset (where the experiment takes one)",
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         required=True,
         help="experiment id (see `python -m repro.bench list`)",
     )
-    _add_subset_flags(leader)
+    add_subset_flags(leader)
     leader.add_argument(
         "--max-retries",
         type=int,
@@ -92,13 +77,27 @@ def main(argv: list[str] | None = None) -> int:
 
     worker = sub.add_parser(
         "worker",
-        help="join a sweep as a worker (alias for `python -m repro.bench "
-        "<exp> --store <store> --worker`)",
+        help="join a sweep as a worker: claim cells under a heartbeated "
+        "lease and run them until the queue drains",
     )
     worker.add_argument("store", help="shared SQLite store file")
-    worker.add_argument("--worker-id", default=None)
-    worker.add_argument("--lease-ttl", type=float, default=60.0)
-    worker.add_argument("--max-cells", type=int, default=None)
+    worker.add_argument(
+        "--worker-id",
+        default=None,
+        help="stable worker identity in the claim log (default host:pid)",
+    )
+    worker.add_argument(
+        "--lease-ttl",
+        type=float,
+        default=60.0,
+        help="lease TTL in seconds (heartbeats fire at ttl/3)",
+    )
+    worker.add_argument(
+        "--max-cells",
+        type=int,
+        default=None,
+        help="stop after claiming this many cells",
+    )
     worker.add_argument(
         "--follow",
         action="store_true",
@@ -127,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
                 methods=args.methods,
             )
         except ValueError as error:
-            parser.error(str(error))
+            leader.error(str(error))
         if args.enqueue_only:
             print(fleet.render_status())
             return 0
@@ -176,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
             follow=args.follow,
         )
         print(
-            f"worker {runner.worker_id} draining {args.store}",
+            f"worker {runner.worker_id} draining {args.store} "
+            f"(lease ttl {args.lease_ttl:g}s)",
             file=sys.stderr,
         )
         stats = runner.run()

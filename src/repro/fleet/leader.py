@@ -13,8 +13,8 @@ process::
    instead of fit.  Zero fits happen; the pass exists purely to
    *discover* the sweep's cells, so it takes seconds even for a sweep
    worth hours of fitting.
-2. **Supervision** — while workers (``python -m repro.bench <exp>
-   --store sweep.db --worker``) drain the queue, the leader's watchdog
+2. **Supervision** — while workers (``python -m repro.fleet worker
+   sweep.db``) drain the queue, the leader's watchdog
    periodically reaps expired leases (re-queueing a dead worker's
    cells, dead-lettering after ``max_retries`` attempts) and renders
    live per-method progress with an ETA.
@@ -86,22 +86,17 @@ class FleetLeader:
         Statistic aggregation *after* the sweep loop may choke on
         placeholder scores (e.g. table6's signed-rank test over
         constant arrays) — by then every cell is already captured, so
-        such errors are logged and swallowed.  ``fpe`` overrides the
-        default pre-trained model (mirrors the bench CLI).
+        such errors are logged and swallowed; an error raised before
+        any cell was captured propagates.  Arguments are resolved by
+        :func:`repro.bench.experiments.build_experiment_call`.
         """
-        from ..bench.__main__ import build_experiment_call
         from ..bench import harness
+        from ..bench.experiments import build_experiment_call
 
-        runner, _, kwargs, needs_fpe = build_experiment_call(
-            experiment, seed=seed, datasets=datasets, methods=methods
+        runner, _, kwargs = build_experiment_call(
+            experiment, seed=seed, datasets=datasets, methods=methods,
+            fpe=fpe,
         )
-        if needs_fpe:
-            if fpe is None:
-                from ..core.pretrain import default_fpe
-
-                self._log("pre-training FPE model ...")
-                fpe = default_fpe(seed=seed)
-            kwargs["fpe"] = fpe
 
         specs: dict[tuple, CellSpec] = {}
 
@@ -117,6 +112,8 @@ class FleetLeader:
         try:
             runner(**kwargs)
         except Exception as error:  # noqa: BLE001 — see docstring
+            if not specs:
+                raise
             self._log(
                 f"enqueue pass: aggregation over placeholders raised "
                 f"{type(error).__name__}: {error} (cells were already "
@@ -210,18 +207,13 @@ class FleetLeader:
                 "dead-lettered cells remain (re-enqueue with "
                 "requeue_dead or inspect `python -m repro.fleet status`)"
             )
-        from ..bench.__main__ import build_experiment_call
         from ..bench import harness
+        from ..bench.experiments import build_experiment_call
 
-        runner, formatter, kwargs, needs_fpe = build_experiment_call(
-            experiment, seed=seed, datasets=datasets, methods=methods
+        runner, formatter, kwargs = build_experiment_call(
+            experiment, seed=seed, datasets=datasets, methods=methods,
+            fpe=fpe,
         )
-        if needs_fpe:
-            if fpe is None:
-                from ..core.pretrain import default_fpe
-
-                fpe = default_fpe(seed=seed)
-            kwargs["fpe"] = fpe
         previous_store = harness.set_run_store(self.store.path, resume=True)
         try:
             return formatter(runner(**kwargs))

@@ -2,7 +2,7 @@
 
 One worker process drains cells from a shared store::
 
-    python -m repro.bench table3 --store sweep.db --worker --worker-id w0
+    python -m repro.fleet worker sweep.db --worker-id w0
 
 Each claimed cell runs through the existing
 :func:`repro.bench.harness.run_single` choke point, so everything the

@@ -1,8 +1,13 @@
 """Unit tests for the python -m repro.bench CLI."""
 
+import inspect
+
 import pytest
 
 from repro.bench.__main__ import _EXPERIMENTS, main
+from repro.fleet import FleetLeader
+from repro.fleet.__main__ import main as fleet_main
+from repro.store import RunStore
 
 
 class TestCLI:
@@ -39,6 +44,11 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["table1", "--resume"])
 
+    def test_out_outside_report_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exit:
+            main(["table1", "--out", str(tmp_path / "report.md")])
+        assert exit.value.code == 2
+
     def test_store_and_resume_end_to_end(self, tmp_path, monkeypatch, capsys):
         # Cold run populates the store; warm --resume run replays it
         # (identical rendered table, one completed run-store cell).
@@ -66,38 +76,92 @@ class TestCLI:
         assert not resume_enabled()
 
 
-class TestWorkerMode:
-    def test_worker_requires_store(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--worker"])
+#: One known value per subset flag; every stubbed runner accepts them.
+_SUBSETS = {"datasets": ["PimaIndian"], "methods": ["NFS"]}
 
-    def test_worker_drains_enqueued_cells(self, tmp_path, capsys):
-        from repro.bench.harness import bench_config
-        from repro.fleet.spec import CellSpec
-        from repro.datasets import make_classification
-        from repro.store import RunStore, config_hash
 
-        path = str(tmp_path / "fleet.db")
-        store = RunStore(path)
-        task = make_classification(
-            name="cli-cell", n_samples=60, n_features=3, seed=0
+@pytest.fixture
+def stubbed(monkeypatch):
+    """Every experiment runner replaced by a recorder carrying the real
+    runner's signature, and the default FPE by a sentinel, so each
+    call through either CLI is instant and observable."""
+    calls = []
+    signatures = {}
+    for name, (runner, _) in list(_EXPERIMENTS.items()):
+        def record(**kwargs):
+            calls.append(kwargs)
+
+        record.__signature__ = signatures[name] = inspect.signature(runner)
+        monkeypatch.setitem(
+            _EXPERIMENTS, name, (record, lambda result: "stub")
         )
-        config = bench_config(seed=0)
-        cell_hash = f"{config_hash(config)}|fpe:none"
-        spec = CellSpec.build(task, "NFS", config, None, cell_hash)
-        store.enqueue_cells([(task.name, "NFS", 0, cell_hash, spec.to_json())])
-        assert main(
-            ["table1", "--store", path, "--worker", "--worker-id", "cli-w0"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "claimed=1 completed=1" in err
-        assert store.queue_counts() == {"completed": 1}
-        assert store.completed_payload(task.name, "NFS", 0, cell_hash)
+    default_model = object()
+    monkeypatch.setattr(
+        "repro.bench.experiments.default_fpe", lambda seed=0: default_model
+    )
+    return calls, signatures, default_model
 
-    def test_worker_on_empty_queue_exits_cleanly(self, tmp_path, capsys):
-        path = str(tmp_path / "empty.db")
-        from repro.store import RunStore
 
-        RunStore(path)  # materialize the schema
-        assert main(["table1", "--store", path, "--worker"]) == 0
-        assert "claimed=0" in capsys.readouterr().err
+def _exit_code(cli, argv):
+    try:
+        return cli(argv)
+    except SystemExit as exit:
+        return exit.code
+
+
+@pytest.mark.parametrize("option", ["datasets", "methods", "fpe"])
+@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+def test_options_follow_the_runner_signature(
+    experiment, option, stubbed, tmp_path
+):
+    """A subset or an FPE is accepted exactly when the runner has the
+    parameter, with one outcome through the bench and the fleet."""
+    calls, signatures, default_model = stubbed
+    accepted = option in signatures[experiment].parameters
+    flags = [f"--{option}", *_SUBSETS[option]] if option in _SUBSETS else []
+    outcomes = []
+    for cli, argv in (
+        (main, [experiment, *flags]),
+        (fleet_main, ["leader", str(tmp_path / "s.db"), "--exp",
+                      experiment, *flags, "--enqueue-only"]),
+    ):
+        calls.clear()
+        code = _exit_code(cli, argv)
+        outcomes.append((code, [kwargs.get(option) for kwargs in calls]))
+    if option in _SUBSETS:
+        expected = (0, [_SUBSETS[option]]) if accepted else (2, [])
+    else:
+        expected = (0, [default_model if accepted else None])
+    assert outcomes == [expected, expected]
+
+    if option == "fpe":
+        injected = object()
+        leader = FleetLeader(str(tmp_path / "s.db"), log=lambda line: None)
+        calls.clear()
+        if accepted:
+            leader.enqueue_experiment(experiment, fpe=injected)
+            assert calls[0]["fpe"] is injected
+        else:
+            with pytest.raises(ValueError, match="takes no FPE"):
+                leader.enqueue_experiment(experiment, fpe=injected)
+            assert calls == []
+
+
+def test_unknown_dataset_is_a_usage_error_on_both_clis(
+    tmp_path, monkeypatch
+):
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("an FPE model was pre-trained")
+
+    # A seed no other test pre-trains, so default_fpe's cache is cold.
+    monkeypatch.setattr("repro.core.pretrain.pretrain_fpe", no_pretraining)
+    path = str(tmp_path / "s.db")
+    for cli, argv in (
+        (main, ["table3", "--datasets", "Nope", "--seed", "97"]),
+        (fleet_main, ["leader", path, "--exp", "table3", "--datasets",
+                      "Nope", "--seed", "97", "--enqueue-only"]),
+    ):
+        with pytest.raises(SystemExit) as exit:
+            cli(argv)
+        assert exit.value.code == 2
+    assert RunStore(path).queue_counts() == {}

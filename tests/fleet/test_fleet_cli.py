@@ -1,4 +1,7 @@
-"""python -m repro.fleet CLI: leader, worker, and status subcommands."""
+"""python -m repro.fleet CLI: leader, worker, and status subcommands.
+
+``worker`` is the one command that starts a fleet worker.
+"""
 
 import pytest
 from fleet_helpers import make_cell
@@ -76,6 +79,21 @@ class TestWorkerCommand:
         make_cell(store, seed=0)
         assert main(["worker", store.path, "--worker-id", "w0"]) == 0
         assert "claimed=1 completed=1" in capsys.readouterr().err
+
+    def test_worker_drains_enqueued_cells(self, store, capsys):
+        task, _, cell_hash = make_cell(store, seed=0)
+        assert main(["worker", store.path, "--worker-id", "cli-w0"]) == 0
+        assert "claimed=1 completed=1" in capsys.readouterr().err
+        assert store.queue_counts() == {"completed": 1}
+        assert store.completed_payload(task.name, "NFS", 0, cell_hash)
+
+    def test_worker_on_empty_queue_exits_cleanly(self, store, capsys):
+        assert main(["worker", store.path]) == 0
+        assert "claimed=0" in capsys.readouterr().err
+
+    def test_worker_requires_store(self):
+        with pytest.raises(SystemExit):
+            main(["worker"])
 
 
 class TestStatusCommand:

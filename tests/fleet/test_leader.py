@@ -77,6 +77,22 @@ class TestEnqueuePass:
         assert sunk == []  # completed cells replay instead of enqueue
         assert result.best_score > 0  # the real stored result, not a stub
 
+    def test_runner_error_before_any_cell_propagates(
+        self, store, quiet, monkeypatch
+    ):
+        from repro.bench.experiments import _EXPERIMENTS
+
+        def broken(datasets=(), seed=0):
+            raise KeyError("no cell was reached")
+
+        monkeypatch.setitem(
+            _EXPERIMENTS, "table1", (broken, _EXPERIMENTS["table1"][1])
+        )
+        leader = FleetLeader(store, log=quiet.append)
+        with pytest.raises(KeyError, match="no cell was reached"):
+            leader.enqueue_experiment("table1", datasets=["PimaIndian"])
+        assert store.queue_counts() == {}
+
     def test_sink_without_store_is_an_error(self):
         from repro.datasets import make_classification
 
@@ -112,9 +128,9 @@ class TestSuperviseAndRender:
         assert "PimaIndian" in rendered
 
         serial = RunStore(str(tmp_path / "serial.db"))
-        from repro.bench.__main__ import build_experiment_call
+        from repro.bench.experiments import build_experiment_call
 
-        runner, _, kwargs, _ = build_experiment_call(
+        runner, _, kwargs = build_experiment_call(
             "table1", seed=0, datasets=["PimaIndian"]
         )
         previous = harness.set_run_store(serial.path, resume=False)

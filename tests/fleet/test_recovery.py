@@ -82,9 +82,8 @@ def _worker_env(plugin_dir, sentinel=""):
 def _spawn_worker(store_path, worker_id, environment, lease_ttl):
     return subprocess.Popen(
         [
-            sys.executable, "-m", "repro.bench", "table1",
-            "--store", store_path, "--worker", "--worker-id", worker_id,
-            "--lease-ttl", str(lease_ttl),
+            sys.executable, "-m", "repro.fleet", "worker", store_path,
+            "--worker-id", worker_id, "--lease-ttl", str(lease_ttl),
         ],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
