@@ -627,6 +627,12 @@ def related_work_spectrum(
 
 
 def format_related_work(table: dict[str, dict[str, AFEResult]]) -> str:
+    """One row per (dataset, method); ``Evals`` counts submissions.
+
+    Submissions (``EvalStats.submissions``, as Table IV and Figure 9
+    count them) do not depend on which cell warmed a shared score cache
+    first, so a fleet render equals a serial one.
+    """
     methods = list(next(iter(table.values())).keys())
     rows = []
     for dataset, results in table.items():
@@ -637,7 +643,7 @@ def format_related_work(table: dict[str, dict[str, AFEResult]]) -> str:
                     dataset,
                     method,
                     result.best_score,
-                    result.n_downstream_evaluations,
+                    result.stats.submissions,
                     result.n_generated,
                 ]
             )
@@ -679,6 +685,11 @@ _EXPERIMENTS = {
 }
 
 
+#: Experiments whose statistic needs more than one dataset: Table VI's
+#: paired tests take one pair per dataset and need at least two.
+_MIN_DATASETS = {"table6": 2}
+
+
 def build_experiment_call(
     experiment: str,
     seed: int = 0,
@@ -692,8 +703,9 @@ def build_experiment_call(
     ``report`` mode and the fleet leader's enqueue and render passes
     all use it.  A ``datasets`` or ``methods`` subset, or an ``fpe``,
     is accepted exactly when the runner's signature has that
-    parameter; anything else, unknown dataset and method names
-    included, raises ``ValueError`` before any FPE is pre-trained.  A
+    parameter; anything else, unknown dataset and method names and a
+    ``table6`` subset of fewer than two datasets included, raises
+    ``ValueError`` before any FPE is pre-trained.  A
     runner taking ``fpe`` gets the given model, else the process-wide
     ``default_fpe(seed=seed)``.
     """
@@ -715,6 +727,11 @@ def build_experiment_call(
             raise ValueError(f"unknown {name} {unknown}; see {listing}")
         if name not in accepted:
             raise ValueError(f"--{name} is not supported by {experiment}")
+        if name == "datasets" and len(set(values)) < _MIN_DATASETS.get(experiment, 1):
+            raise ValueError(
+                f"{experiment} pairs results across datasets; --datasets "
+                f"needs at least {_MIN_DATASETS[experiment]} distinct names"
+            )
         kwargs[name] = list(values)
     if "fpe" in accepted:
         if fpe is None:

@@ -63,6 +63,15 @@ class BaseEstimator:
             setattr(self, name, value)
         return self
 
+    def fit_folds(self, X: np.ndarray, y: np.ndarray, folds) -> list:
+        """One fitted clone per ``(train, test)`` fold, in fold order.
+
+        :func:`~repro.ml.model_selection.cross_val_score` fits through
+        this hook; an estimator that can fit several training sets at
+        once (the forests) overrides it.
+        """
+        return [clone(self).fit(X[train], y[train]) for train, _ in folds]
+
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"

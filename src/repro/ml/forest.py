@@ -5,6 +5,14 @@ Task), Random Forest cross-validation is the formal feature evaluator.
 The forest is standard Breiman bagging: each tree sees a bootstrap sample
 of the rows and a random ``sqrt`` subset of features per node.
 
+Every tree's seed and bootstrap rows are drawn from the forest RNG up
+front, in the order a tree-by-tree fit draws them, and then all trees
+grow together through :func:`~repro.ml.tree.grow_trees`.
+:meth:`_BaseForest.fit_folds` extends that lockstep across the fold
+forests of one cross-validation: every fold's trees read the one shared
+matrix through row indices (fold train rows composed with bootstrap
+rows), so a whole cross-validated evaluation is one growth.
+
 ``feature_importances_`` (mean impurity-style usage counts weighted by
 node size) backs the paper's pre-filtering step: *"E-AFE first conducts
 feature selection of less than maximum features according to the feature
@@ -15,10 +23,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_matrix, check_X_y
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor
+from .base import BaseEstimator, check_matrix, check_X_y, clone
+from .tree import DecisionTreeClassifier, DecisionTreeRegressor, grow_trees
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
+
+
+def _grow_forests(forests: list, matrix, target, trains: list) -> None:
+    """Fit ``forests[i]`` on rows ``trains[i]``, all trees in one growth."""
+    trees, samples = [], []
+    for forest, train in zip(forests, trains):
+        forest.n_features_ = matrix.shape[1]
+        forest._set_target(target[train])
+        samples += forest._draw_trees(np.asarray(train))
+        trees += forest._trees
+    grow_trees(trees, matrix, target, samples)
 
 
 class _BaseForest(BaseEstimator):
@@ -47,19 +66,36 @@ class _BaseForest(BaseEstimator):
     def _make_tree(self, seed: int):
         raise NotImplementedError
 
-    def _fit_trees(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._trees = []
-        self.n_features_ = X.shape[1]
+    def _set_target(self, target: np.ndarray) -> None:
+        """Record what fitting learns from the target alone."""
+
+    def _draw_trees(self, train: np.ndarray) -> list:
+        """Fresh trees and their rows of the shared matrix.
+
+        Seeds and bootstrap rows come from the forest RNG in the order a
+        tree-by-tree fit draws them.
+        """
         rng = np.random.default_rng(self.seed)
-        n_samples = X.shape[0]
-        for i in range(self.n_estimators):
-            tree = self._make_tree(int(rng.integers(0, 2**31 - 1)))
+        n_samples = len(train)
+        self._trees, samples = [], []
+        for _ in range(self.n_estimators):
+            self._trees.append(self._make_tree(int(rng.integers(0, 2**31 - 1))))
             if self.bootstrap:
-                rows = rng.integers(0, n_samples, size=n_samples)
+                samples.append(train[rng.integers(0, n_samples, size=n_samples)])
             else:
-                rows = np.arange(n_samples)
-            tree.fit(X[rows], y[rows])
-            self._trees.append(tree)
+                samples.append(train)
+        return samples
+
+    def fit_folds(self, X, y, folds) -> list:
+        """One fitted forest per fold, every fold's trees grown together."""
+        matrix, target = check_X_y(X, y)
+        forests = [clone(self) for _ in folds]
+        _grow_forests(forests, matrix, target, [train for train, _ in folds])
+        return forests
+
+    def _fit(self, X, y) -> None:
+        matrix, target = check_X_y(X, y)
+        _grow_forests([self], matrix, target, [np.arange(len(target))])
 
     @property
     def feature_importances_(self) -> np.ndarray:
@@ -94,11 +130,12 @@ class RandomForestClassifier(_BaseForest):
             seed=seed,
         )
 
+    def _set_target(self, target: np.ndarray) -> None:
+        self.classes_ = np.unique(target)
+
     def fit(self, X, y) -> "RandomForestClassifier":
         """Fit bootstrap-sampled CART trees on (X, y)."""
-        matrix, target = check_X_y(X, y)
-        self.classes_ = np.unique(target)
-        self._fit_trees(matrix, target)
+        self._fit(X, y)
         return self
 
     def predict_proba(self, X) -> np.ndarray:
@@ -134,8 +171,7 @@ class RandomForestRegressor(_BaseForest):
         )
 
     def fit(self, X, y) -> "RandomForestRegressor":
-        matrix, target = check_X_y(X, y)
-        self._fit_trees(matrix, target)
+        self._fit(X, y)
         return self
 
     def predict(self, X) -> np.ndarray:

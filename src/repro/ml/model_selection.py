@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .base import BaseEstimator, check_X_y, clone
+from .base import BaseEstimator, check_X_y
 
 __all__ = [
     "KFold",
@@ -171,9 +171,11 @@ def cross_val_score(
     stratified: bool = False,
     folds: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None,
 ) -> np.ndarray:
-    """Per-fold scores of a cloned estimator.
+    """Per-fold scores of the estimator fitted on each training fold.
 
-    The estimator is cloned per fold so state never leaks between folds;
+    Every fold is fitted from a fresh clone through the estimator's
+    :meth:`~repro.ml.base.BaseEstimator.fit_folds` hook, so state never
+    leaks between folds; a forest grows every fold's trees together.
     ``metric(y_true, y_pred)`` follows the convention that larger is
     better (as every score in the paper does).  ``folds`` accepts a
     precomputed :func:`plan_folds` plan and must have been built from
@@ -184,12 +186,11 @@ def cross_val_score(
         folds = plan_folds(
             target, n_splits=n_splits, seed=seed, stratified=stratified
         )
-    scores = []
-    for train, test in folds:
-        model = clone(estimator)
-        model.fit(matrix[train], target[train])
-        prediction = model.predict(matrix[test])
-        scores.append(metric(target[test], prediction))
+    models = estimator.fit_folds(matrix, target, folds)
+    scores = [
+        metric(target[test], model.predict(matrix[test]))
+        for model, (_, test) in zip(models, folds)
+    ]
     return np.asarray(scores, dtype=np.float64)
 
 

@@ -76,8 +76,9 @@ class TestCLI:
         assert not resume_enabled()
 
 
-#: One known value per subset flag; every stubbed runner accepts them.
-_SUBSETS = {"datasets": ["PimaIndian"], "methods": ["NFS"]}
+#: Known values per subset flag; every stubbed runner accepts them
+#: (two datasets, since a table6 subset needs a pair).
+_SUBSETS = {"datasets": ["PimaIndian", "labor"], "methods": ["NFS"]}
 
 
 @pytest.fixture
@@ -164,4 +165,27 @@ def test_unknown_dataset_is_a_usage_error_on_both_clis(
         with pytest.raises(SystemExit) as exit:
             cli(argv)
         assert exit.value.code == 2
+    assert RunStore(path).queue_counts() == {}
+
+
+@pytest.mark.parametrize("cli_name", ["bench", "fleet"])
+@pytest.mark.parametrize("subset", [["labor"], ["labor", "labor"]])
+def test_table6_needs_two_datasets(cli_name, subset, tmp_path, monkeypatch):
+    """A one-dataset table6 has no pair to test: the CLI exits 2 before
+    any FPE is pre-trained or any cell is enqueued."""
+
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("an FPE model was pre-trained")
+
+    # A seed no other test pre-trains, so default_fpe's cache is cold.
+    monkeypatch.setattr("repro.core.pretrain.pretrain_fpe", no_pretraining)
+    path = str(tmp_path / "s.db")
+    flags = ["--exp", "table6", "--datasets", *subset, "--seed", "96"]
+    if cli_name == "bench":
+        cli, argv = main, ["table6", *flags[2:]]
+    else:
+        cli, argv = fleet_main, ["leader", path, *flags, "--enqueue-only"]
+    with pytest.raises(SystemExit) as exit:
+        cli(argv)
+    assert exit.value.code == 2
     assert RunStore(path).queue_counts() == {}

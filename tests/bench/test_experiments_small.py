@@ -211,3 +211,32 @@ class TestRelatedWork:
         )
         assert set(table["labor"]) == {"NFS", "E-AFE"}
         assert "BestScore" in experiments.format_related_work(table)
+
+    def test_evals_do_not_depend_on_cell_order(self, fpe, tmp_path):
+        """Two method orders sharing one score store render equal Evals,
+        though whichever cell runs first pays the fits the other hits."""
+        from repro.bench.harness import set_run_store
+
+        def evals(table):
+            rendered = experiments.format_related_work(table)
+            return {
+                tuple(line.split()[:2]): line.split()[3]
+                for line in rendered.splitlines()
+                if line.startswith("labor")
+            }
+
+        tables = []
+        for order in (("LFE", "E-AFE"), ("E-AFE", "LFE")):
+            previous = set_run_store(str(tmp_path / f"{order[0]}.db"))
+            try:
+                tables.append(experiments.related_work_spectrum(
+                    datasets=("labor",), methods=order, fpe=fpe
+                ))
+            finally:
+                set_run_store(*previous)
+        fits = [
+            {m: table["labor"][m].n_downstream_evaluations for m in table["labor"]}
+            for table in tables
+        ]
+        assert fits[0] != fits[1]
+        assert evals(tables[0]) == evals(tables[1])
