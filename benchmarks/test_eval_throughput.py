@@ -37,8 +37,9 @@ import numpy as np
 
 from repro.core.evaluation import DownstreamEvaluator
 from repro.datasets import make_classification
-from repro.eval import EvaluationCache, EvaluationService
+from repro.eval import EvaluationService
 from repro.fidelity import make_fidelity
+from repro.store import MemoryBackend
 
 N_CANDIDATES = 8
 N_REPEATS = 4
@@ -92,7 +93,7 @@ def eval_throughput() -> dict:
         EvaluationService(_evaluator(), cache=None), base, columns, task.y
     )
     cached = _measure(
-        EvaluationService(_evaluator(), cache=EvaluationCache()),
+        EvaluationService(_evaluator(), cache=MemoryBackend()),
         base,
         columns,
         task.y,
@@ -160,7 +161,7 @@ def _eval_service(backend: str) -> EvaluationService:
     # bit-identity assertion below holds for every model family.
     return EvaluationService(
         DownstreamEvaluator(task="C", model_kind="nb_gp", n_splits=3, seed=0),
-        cache=EvaluationCache(),
+        cache=MemoryBackend(),
         backend=backend,
         n_workers=N_WORKERS,
     )
@@ -297,7 +298,7 @@ def _fidelity_workload():
 def _measure_fidelity_arm(spec, task, base, sweeps) -> dict:
     service = EvaluationService(
         DownstreamEvaluator(task="C", n_splits=3, n_estimators=5, seed=0),
-        cache=EvaluationCache(),
+        cache=MemoryBackend(),
         backend="pool",
         n_workers=N_WORKERS,
         fidelity=make_fidelity(spec) if spec else None,

@@ -36,12 +36,7 @@ from .core import (
     pretrain_fpe,
     tune_fpe,
 )
-from .eval import (
-    EvaluationCache,
-    EvaluationService,
-    FeatureMatrixArena,
-    PoolExecutor,
-)
+from .eval import EvaluationService, PoolExecutor
 from .fidelity import FidelityController, FidelitySpec, SurrogateGate
 from .store import (
     MemoryBackend,
@@ -77,9 +72,7 @@ __all__ = [
     "AFEEngine",
     "AFEResult",
     "EngineConfig",
-    "EvaluationCache",
     "EvaluationService",
-    "FeatureMatrixArena",
     "FidelityController",
     "FidelitySpec",
     "PoolExecutor",

@@ -116,9 +116,8 @@ class ExploreKit(AFEEngine):
         for step, (name, values) in enumerate(
             ranked[: self.evaluation_budget]
         ):
-            # score_batch keeps the greedy base materialized in the
-            # service arena, so each trial is an O(n) write; the base
-            # token only changes when a candidate is accepted.
+            # The base token only changes when a candidate is
+            # accepted, so each trial hashes just its own column.
             score = service.score_batch(
                 current, [values], working.y, base_token=current_token
             )[0]

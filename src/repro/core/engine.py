@@ -606,11 +606,11 @@ class AFEEngine:
         Scoring is batched per sweep: an agent's surviving candidates
         are collected and streamed through
         :meth:`EvaluationService.iter_scores_async` against the
-        current design matrix (arena views; the paper's Table I
-        observation is that the downstream fits dwarf everything else,
-        and a shared base per batch is what lets those fits be cached,
-        deduplicated, and farmed out to worker processes).  With the
-        persistent ``pool`` backend the sweep is *pipelined*: every
+        current design matrix (the paper's Table I observation is that
+        the downstream fits dwarf everything else, and a shared base
+        per batch is what lets those fits be cached, deduplicated, and
+        farmed out to worker processes).  With the persistent ``pool``
+        backend the sweep is *pipelined*: every
         surviving candidate is in flight on the workers the moment the
         FPE filter passes it, and the loop below consumes completions
         in submission order while later fits are still running — the
@@ -816,8 +816,7 @@ class AFEEngine:
         result.selected_features = best_features
         # Cache the exact matrix that achieved best_score (column order
         # matters: the seeded per-node feature sampling of the forest
-        # makes CV scores sensitive to column permutation).  best_matrix
-        # is always a column_stack copy, never a live arena view.
+        # makes CV scores sensitive to column permutation).
         if best_matrix is not None:
             result.selected_matrix = best_matrix
         else:

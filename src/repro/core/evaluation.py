@@ -123,11 +123,10 @@ class DownstreamEvaluator:
     ) -> float:
         """A_T(F, y): mean cross-validated score of the feature set.
 
-        ``folds`` accepts a precomputed fold plan (see
-        :class:`repro.eval.FoldCache`); it must match what
-        :func:`~repro.ml.model_selection.plan_folds` would derive from
-        ``(y, n_splits, seed, task)``, and exists purely so repeated
-        evaluations against one target skip re-deriving the splits.
+        ``folds=None`` plans the CV splits from ``(y, n_splits, seed,
+        task)`` with :func:`~repro.ml.model_selection.plan_folds`.  The
+        fidelity ladder passes a truncated, row-subsampled plan instead
+        (:func:`repro.fidelity.ladder.subsample_fold_plan`).
         """
         matrix = sanitize_matrix(np.asarray(X, dtype=np.float64))
         if matrix.ndim == 1:

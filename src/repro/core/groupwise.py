@@ -104,7 +104,7 @@ class GroupwiseFeatureSpace(FeatureSpace):
         self.subgroups = subgroups
         self.groups_ = groups
         self._last_rewards = np.zeros(len(subgroups))
-        self.invalidate_matrix()  # subgroup layout changed under the arena
+        self.invalidate_matrix()  # subgroup layout changed
 
 
 class GroupwiseEAFE(AFEEngine):

@@ -24,10 +24,9 @@ Contract
   any counter — the caller owns accounting.  :meth:`promote` raises a
   backlogged speculative submission to confirmed priority;
   :meth:`cancel` retracts one that was never dispatched, for free.
-* Workers rebuild folds via :func:`~repro.ml.model_selection.plan_folds`
-  from the shared target, and score through a worker-local
-  :class:`~repro.eval.arena.FeatureMatrixArena`, so scores are
-  bit-identical to the serial backend.
+* Workers keep a copy of the current base and target, and fit
+  ``np.column_stack([base, column])`` through the same evaluator the
+  serial backend uses, so scores are bit-identical to it.
 * A dead worker never hangs the parent: :meth:`result` polls worker
   liveness, and on a crash the pool **recovers** — it respawns the
   workers and raises :class:`TaskLost` for every submission that was
@@ -138,21 +137,16 @@ def resolve_pool_workers(explicit: int | None) -> int:
 def _worker_main(task_queue, result_queue, evaluator_params: dict) -> None:
     """Long-lived worker loop: attach, copy once per token, score.
 
-    The evaluator, the trial arena, and the per-target fold plans are
-    all built once and reused across tasks; a shared-memory segment is
-    attached only when the base (or target) token changes, copied into
-    worker-local storage, and closed immediately — the parent stays
-    the sole owner of segment lifetime.
+    The evaluator is built once and reused across tasks; a
+    shared-memory segment is attached only when the base (or target)
+    token changes, copied into worker-local storage, and closed
+    immediately — the parent stays the sole owner of segment lifetime.
     """
     from ..core.evaluation import DownstreamEvaluator
-    from ..ml.model_selection import plan_folds
-    from .arena import FeatureMatrixArena
 
     evaluator = DownstreamEvaluator(**evaluator_params)
-    stratified = evaluator.task == "C"
-    targets: dict[str, tuple[np.ndarray, tuple]] = {}
-    arena: FeatureMatrixArena | None = None
-    arena_token: str | None = None
+    targets: dict[str, np.ndarray] = {}
+    held: tuple[str, np.ndarray] | None = None
     while True:
         task = task_queue.get()
         if task is None:
@@ -172,31 +166,22 @@ def _worker_main(task_queue, result_queue, evaluator_params: dict) -> None:
                 view, segment = attach_array(y_name, y_shape)
                 y = np.array(view)  # own copy: segment closes right away
                 segment.close()
-                folds = plan_folds(
-                    y,
-                    n_splits=evaluator.n_splits,
-                    seed=evaluator.seed,
-                    stratified=stratified,
-                )
                 if len(targets) >= 8:  # bounded: one target per run in practice
                     targets.pop(next(iter(targets)))
-                targets[y_token] = (y, folds)
-            y, folds = targets[y_token]
-            if arena is None or arena.n_samples != base_shape[0]:
-                arena = FeatureMatrixArena(base_shape[0], base_shape[1] + 1)
-                arena_token = None
-            if arena_token != base_token:
+                targets[y_token] = y
+            y = targets[y_token]
+            if held is None or held[0] != base_token:
+                held = None  # release the old base before copying the new
                 view, segment = attach_array(base_name, base_shape)
-                arena.reset(view)  # copies into the worker-local buffer
+                held = (base_token, np.array(view))
                 segment.close()
-                arena_token = base_token
             column = np.frombuffer(column_bytes, dtype=np.float64)
             before = evaluator.total_eval_time
             # Chaos site: an `err` fault here surfaces to the parent as
             # TaskFailed; a `hang` fault simulates a stuck fit, which
             # the parent's eval_timeout deadline cancels.
             maybe_fault("pool.fit")
-            score = evaluator.evaluate(arena.trial_view(column), y, folds=folds)
+            score = evaluator.evaluate(np.column_stack([held[1], column]), y)
             result_queue.put(
                 (seq, score, evaluator.total_eval_time - before, None)
             )

@@ -16,14 +16,12 @@ changing a single score:
   processes and runs — a warm store replays an identical engine
   ``fit()`` without a single real downstream fit, even from a fresh
   process.
-* **fold reuse** — CV splits are planned once per target via
-  :class:`~repro.eval.folds.FoldCache` and passed into every fit.
 * **batching** — :meth:`score_batch` scores a sweep's candidates
-  against one frozen base matrix on the ``serial`` backend
-  (arena-backed, zero-copy trials) or the ``pool`` backend (a
-  persistent :class:`~repro.eval.executor.PoolExecutor` fed through
-  shared memory); backends are bit-equal because every fit is
-  independently seeded.
+  against one base matrix on the ``serial`` backend (one
+  ``np.column_stack`` per trial, in this process) or the ``pool``
+  backend (a persistent :class:`~repro.eval.executor.PoolExecutor`
+  fed through shared memory); backends are bit-equal because every
+  fit is independently seeded.
 * **pipelining** — :meth:`submit_batch` returns :class:`ScoreFuture`
   handles, lazy on ``serial`` and in flight on ``pool``, and
   :meth:`iter_scores_async` resolves them in submission order.
@@ -47,10 +45,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..store.backends import CacheBackend, MemoryBackend
-from .arena import FeatureMatrixArena
+from ..fidelity import make_fidelity
+from ..ml.model_selection import plan_folds
+from ..store.backends import CacheBackend
 from .fingerprint import ColumnFingerprinter, content_digest
-from .folds import FoldCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> eval)
     from ..core.evaluation import DownstreamEvaluator
@@ -58,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> eval)
 
 __all__ = [
     "EvalStats",
-    "EvaluationCache",
     "EvaluationService",
     "ScoreFuture",
     "BACKENDS",
@@ -206,11 +203,6 @@ class EvalStats:
         return self.n_cache_hits / lookups if lookups else 0.0
 
 
-#: Back-compat name: the PR-1 in-process score store now lives in
-#: :mod:`repro.store.backends` as the default cache backend.
-EvaluationCache = MemoryBackend
-
-
 @dataclass
 class _Triage:
     """One batch's lookup outcome (see :meth:`EvaluationService._triage`)."""
@@ -264,10 +256,10 @@ class ScoreFuture:
     occurrence's future itself, so both positions resolve with one fit
     (with memoization on; ``cache=None`` pays one fit per submission).
 
-    Futures hold references to the caller's base matrix until
-    resolved; callers that mutate the base between submission and
-    consumption (the engine never does — it consumes before accepting)
-    must copy it first.
+    Futures hold a reference to the caller's base matrix until
+    resolved and fit against it as it is then, so a caller must not
+    mutate it in between; :class:`~repro.rl.FeatureSpace` hands out
+    read-only matrices it never rewrites.
     """
 
     __slots__ = (
@@ -394,14 +386,11 @@ class EvaluationService:
         )
         self.stats = EvalStats()
         register_service(self)
-        self._folds = FoldCache()
         self._fingerprinter = ColumnFingerprinter(seed=evaluator.seed)
         params = evaluator.params()
         self._params_token = ":".join(
             f"{name}={params[name]}" for name in sorted(params)
         )
-        self._arena: FeatureMatrixArena | None = None
-        self._arena_token: str | None = None
         # bucket -> first content digest seen, bounded LRU (see
         # _note_near_duplicate).
         self._digest_of_bucket: OrderedDict[str, str] = OrderedDict()
@@ -434,10 +423,6 @@ class EvaluationService:
         fidelity = None
         spec = getattr(config, "eval_fidelity", None)
         if spec is not None:
-            # Imported lazily: repro.fidelity imports eval.folds, so a
-            # module-level import here would be a cycle.
-            from ..fidelity import make_fidelity
-
             fidelity = make_fidelity(spec, seed=getattr(config, "seed", 0))
         return cls(
             evaluator,
@@ -468,7 +453,8 @@ class EvaluationService:
         return f"{self._params_token}|{target_token}|full|{self.token(X)}"
 
     def _plan(self, y: np.ndarray):
-        return self._folds.plan(
+        """The full CV fold plan; fidelity rung 0 subsamples it."""
+        return plan_folds(
             y,
             n_splits=self.evaluator.n_splits,
             seed=self.evaluator.seed,
@@ -711,7 +697,7 @@ class EvaluationService:
     def _fit_serial(self, future: ScoreFuture) -> float:
         """Fit one future's candidate in this process."""
         return self._score_missing_serial(
-            future._base, future._token, [future._column], [0], future._y
+            future._base, [future._column], [0], future._y
         )[0]
 
     def _collect_pool_future(self, future: ScoreFuture) -> float:
@@ -788,7 +774,7 @@ class EvaluationService:
             keys = [self._matrix_key(X, target_token)]
         return self._score_one(
             self._triage([column], base_token, target_token, keys=keys),
-            lambda: self.evaluator.evaluate(X, y, folds=self._plan(y)),
+            lambda: self.evaluator.evaluate(X, y),
         )
 
     def score_batch(
@@ -862,9 +848,7 @@ class EvaluationService:
         invalidate (the engine submits the next agent's sweep behind
         the in-flight one this way).  Speculative pool submissions run
         at low priority — they fill idle workers but never delay
-        confirmed work that has not been dispatched yet — and the base
-        matrix is copied at submission, so the caller may mutate its
-        buffer (accept a feature) while they are in flight.  Every
+        confirmed work that has not been dispatched yet.  Every
         speculative batch must later be resolved with exactly one of
         :meth:`commit_speculative` or :meth:`discard_speculative`.
 
@@ -884,14 +868,7 @@ class EvaluationService:
             scores = self.score_batch(base, columns, y, base_token=base_token)
             return [ScoreFuture.resolved(score) for score in scores]
         self.stats.n_batches += 1
-        if speculative:
-            # The engine hands us a transient arena view; an acceptance
-            # while these futures are in flight would mutate it under
-            # the crash-fallback path's feet.  One copy per speculated
-            # sweep keeps the fallback base frozen.
-            base = np.array(base, dtype=np.float64)
-        else:
-            base = np.asarray(base, dtype=np.float64)
+        base = np.asarray(base, dtype=np.float64)
         token = base_token if base_token is not None else self.token(base)
         target_token = self._target_token(y)
         if self.backend == "serial":
@@ -1007,34 +984,24 @@ class EvaluationService:
                 for index in missing
             ]
             return [self._await_pool(future) for future in futures]
-        return self._score_missing_serial(base, token, columns, missing, y)
+        return self._score_missing_serial(base, columns, missing, y)
 
     def _score_missing_serial(
         self,
         base: np.ndarray,
-        token: str,
         columns: list[np.ndarray],
         missing: list[int],
         y: np.ndarray,
         folds=None,
     ) -> list[float]:
-        """Arena-backed loop: base copied once per token, O(n) per trial.
+        """Fit each missing ``np.column_stack([base, column])`` here.
 
-        ``folds`` overrides the cached full plan — the fidelity ladder
-        passes its truncated/subsampled rung-0 plan here, reusing the
-        same arena and evaluator as a full fit.
+        ``folds=None`` lets the evaluator plan the full CV splits; the
+        fidelity ladder passes its truncated/subsampled rung-0 plan.
         """
-        if self._arena is None or self._arena.n_samples != base.shape[0]:
-            self._arena = FeatureMatrixArena(base.shape[0], base.shape[1] + 1)
-            self._arena_token = None
-        if self._arena_token != token:
-            self._arena.reset(base)
-            self._arena_token = token
-        if folds is None:
-            folds = self._plan(y)
         return [
             self.evaluator.evaluate(
-                self._arena.trial_view(columns[index]), y, folds=folds
+                np.column_stack([base, columns[index]]), y, folds=folds
             )
             for index in missing
         ]

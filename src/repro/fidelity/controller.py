@@ -139,7 +139,7 @@ class FidelityController:
             lowfi = triage.missing
             folds = self.ladder.rung0_folds(service._plan(y), target_token)
             rung_scores = service._score_missing_serial(
-                base, token, columns, lowfi, y, folds=folds
+                base, columns, lowfi, y, folds=folds
             )
             stats.n_lowfi_scored += len(lowfi)
             # Positions sharing a key (every copy is a miss without a

@@ -137,11 +137,10 @@ def plan_folds(
     """Materialize the exact fold indices :func:`cross_val_score` uses.
 
     Splits depend only on ``(y, n_splits, seed, stratified)`` — not on
-    the feature matrix — so a run that scores thousands of candidate
-    matrices against one target can compute the plan once and pass it
-    via the ``folds`` parameter instead of re-deriving it per call
-    (:mod:`repro.eval.folds` adds the cache).  The selection logic must
-    stay byte-identical to what an inline split would produce.
+    the feature matrix — so a caller can derive a plan once and pass it
+    (or a subsample of it) via the ``folds`` parameter.  The selection
+    logic must stay byte-identical to what an inline split would
+    produce.
     """
     target = np.asarray(y, dtype=np.float64).reshape(-1)
     n_samples = target.shape[0]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..datasets.generators import TabularTask
-from ..eval.arena import FeatureMatrixArena
 from ..eval.fingerprint import content_digest
 from ..operators.composer import FeatureSubgroup, GeneratedFeature, compose
 from ..operators.registry import OperatorRegistry, default_registry
@@ -65,17 +64,10 @@ class FeatureSpace:
                 FeatureSubgroup(root, max_members=max_subgroup)
             )
         self._last_rewards = np.zeros(len(self.subgroups))
-        # Arena-backed matrix: the group-ordered design matrix is
-        # materialized once per state version; trial candidates are an
-        # O(n) write into the reserved slot instead of an O(n*d)
-        # column_stack per candidate.
-        self._arena = FeatureMatrixArena(
-            task.n_samples, capacity=len(task.X.columns) + 1
-        )
-        self._matrix_version = 0
-        self._built_version = -1
+        # The group-ordered design matrix of the current state, built
+        # on first use and dropped whenever the state changes.
+        self._matrix: np.ndarray | None = None
         self._token: str | None = None
-        self._token_version = -1
 
     @property
     def n_agents(self) -> int:
@@ -161,8 +153,9 @@ class FeatureSpace:
         return added
 
     def invalidate_matrix(self) -> None:
-        """Mark the materialized design matrix stale (state changed)."""
-        self._matrix_version += 1
+        """Drop the materialized design matrix (state changed)."""
+        self._matrix = None
+        self._token = None
 
     # -- views ------------------------------------------------------------------
     def generated_features(self) -> list[GeneratedFeature]:
@@ -173,47 +166,37 @@ class FeatureSpace:
         return produced
 
     def feature_matrix(self) -> np.ndarray:
-        """Original + generated features as one design matrix.
+        """Original + generated features as one read-only design matrix.
 
-        Returned as a **transient read-only view** into the arena: it is
-        valid until the next :meth:`accept` (or any call that rebuilds
-        the matrix).  Copy before retaining.  Column order is identical
-        to the historical ``np.column_stack`` construction (group by
-        group, members in acceptance order) — downstream CV scores are
-        sensitive to column permutation, so the order is part of the
-        contract.
+        Built once per state version; an :meth:`accept` builds a new
+        matrix and never touches one already handed out, so callers
+        may keep it.  Column order is group by group, members in
+        acceptance order — downstream CV scores are sensitive to
+        column permutation, so the order is part of the contract.
         """
-        self._rebuild_if_stale()
-        return self._arena.base_view()
+        if self._matrix is None:
+            matrix = np.column_stack(
+                [
+                    feature.values
+                    for group in self.subgroups
+                    for feature in group.members
+                ]
+            )
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
     def trial_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Design matrix extended by one candidate column (O(n) write).
-
-        Equivalent to ``np.column_stack([feature_matrix(), values])``
-        but without copying the base columns.  The view is transient:
-        the next trial or acceptance overwrites it.
-        """
-        self._rebuild_if_stale()
-        return self._arena.trial_view(values)
+        """Design matrix extended by one candidate column (read-only)."""
+        matrix = np.column_stack([self.feature_matrix(), values])
+        matrix.flags.writeable = False
+        return matrix
 
     def matrix_token(self) -> str:
         """Content token of the current design matrix (cached per version)."""
-        if self._token_version != self._matrix_version:
+        if self._token is None:
             self._token = content_digest(self.feature_matrix())
-            self._token_version = self._matrix_version
         return self._token
-
-    def _rebuild_if_stale(self) -> None:
-        if self._built_version == self._matrix_version:
-            return
-        self._arena.reset(
-            [
-                feature.values
-                for group in self.subgroups
-                for feature in group.members
-            ]
-        )
-        self._built_version = self._matrix_version
 
     def feature_names(self) -> list[str]:
         """Names of every feature currently in the state, in matrix order."""

@@ -103,7 +103,7 @@ class CacheBackend:
 
 
 class MemoryBackend(CacheBackend):
-    """Bounded in-process score store (the PR-1 ``EvaluationCache``).
+    """Bounded in-process score store (the default cache backend).
 
     FIFO eviction — a score is cheap to recompute and the bound only
     exists to keep unbounded sweeps from accumulating forever.

@@ -11,7 +11,6 @@ import pytest
 from repro.core.evaluation import DownstreamEvaluator
 from repro.datasets import make_classification
 from repro.eval import (
-    EvaluationCache,
     EvaluationService,
     PoolExecutor,
     TaskLost,
@@ -19,6 +18,7 @@ from repro.eval import (
 from repro.eval.executor import resolve_pool_workers
 from repro.eval.fingerprint import content_digest
 from repro.eval.shm import SegmentStore, attach_array, segment_prefix
+from repro.store import MemoryBackend
 
 
 def _evaluator(seed=0):
@@ -180,7 +180,7 @@ class TestBackendEquivalence:
         for backend in ("serial", "pool"):
             service = EvaluationService(
                 _evaluator(),
-                cache=EvaluationCache(),
+                cache=MemoryBackend(),
                 backend=backend,
                 n_workers=2,
             )
@@ -202,7 +202,7 @@ class TestBackendEquivalence:
         serial = EvaluationService(_evaluator(), cache=None, backend="serial")
         expected = list(serial.iter_scores(base, columns, task.y))
         pool = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=2
         )
         with pool:
             streamed = list(pool.iter_scores_async(base, columns, task.y))
@@ -211,7 +211,7 @@ class TestBackendEquivalence:
     def test_abandoned_futures_still_cached_and_counted(self):
         task, base, columns = _workload(seed=8)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=2
         )
         with service:
             scores = service.iter_scores_async(base, columns, task.y)
@@ -231,7 +231,7 @@ class TestBackendEquivalence:
         serial = EvaluationService(_evaluator(), cache=None, backend="serial")
         expected = serial.score_batch(base, columns, task.y)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=2
         )
         with service:
             futures = service.submit_batch(base, columns, task.y)
@@ -245,7 +245,7 @@ class TestBackendEquivalence:
         serial = EvaluationService(_evaluator(), cache=None, backend="serial")
         expected = serial.score_batch(base, columns, task.y)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=2
         )
         with service:
             held = service.submit_batch(base, columns[:3], task.y)
@@ -272,7 +272,7 @@ class TestBackendEquivalence:
         serial = EvaluationService(_evaluator(), cache=None, backend="serial")
         expected = serial.score_batch(base, columns, task.y)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=2
         )
         held = service.submit_batch(base, columns, task.y)
         service.close()
@@ -286,7 +286,7 @@ class TestBackendEquivalence:
         serial = EvaluationService(_evaluator(), cache=None, backend="serial")
         expected = serial.score_batch(base, columns, task.y)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=2
         )
         with service:
             executor = service._ensure_executor()

@@ -1,8 +1,7 @@
-"""Fold-plan reuse must reproduce per-call splits exactly."""
+"""Fold plans must reproduce the splitters' splits exactly."""
 
 import numpy as np
 
-from repro.eval import FoldCache
 from repro.ml.model_selection import KFold, StratifiedKFold, plan_folds
 
 
@@ -40,37 +39,3 @@ class TestPlanFolds:
         plan = plan_folds(y, n_splits=5, seed=0)
         assert len(plan) == 3
 
-
-class TestFoldCache:
-    def test_hit_on_identical_target(self):
-        cache = FoldCache()
-        y = np.arange(25, dtype=np.float64)
-        a = cache.plan(y, n_splits=5, seed=0)
-        b = cache.plan(y.copy(), n_splits=5, seed=0)  # same content, new array
-        assert a is b
-        assert cache.n_hits == 1
-        assert cache.n_misses == 1
-
-    def test_distinct_params_miss(self):
-        cache = FoldCache()
-        y = np.arange(25, dtype=np.float64)
-        cache.plan(y, n_splits=5, seed=0)
-        cache.plan(y, n_splits=3, seed=0)
-        cache.plan(y, n_splits=5, seed=1)
-        cache.plan(y, n_splits=5, seed=0, stratified=True)
-        assert cache.n_misses == 4
-        assert cache.n_hits == 0
-
-    def test_cached_plan_matches_fresh_plan(self):
-        cache = FoldCache()
-        rng = np.random.default_rng(7)
-        y = rng.integers(0, 2, size=60).astype(np.float64)
-        cached = cache.plan(y, n_splits=4, seed=2, stratified=True)
-        fresh = plan_folds(y, n_splits=4, seed=2, stratified=True)
-        _assert_plans_equal(cached, fresh)
-
-    def test_eviction_bounds_entries(self):
-        cache = FoldCache(max_entries=2)
-        for seed in range(5):
-            cache.plan(np.arange(20, dtype=np.float64), n_splits=4, seed=seed)
-        assert len(cache) == 2

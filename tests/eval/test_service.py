@@ -7,10 +7,11 @@ from repro.core.evaluation import DownstreamEvaluator
 from repro.datasets import make_classification, make_regression
 from repro.eval import (
     ColumnFingerprinter,
-    EvaluationCache,
     EvaluationService,
     content_digest,
 )
+from repro.rl import FeatureSpace
+from repro.store import MemoryBackend
 
 
 def _evaluator(task="C", seed=0):
@@ -25,6 +26,15 @@ def _candidates(task, n=6):
     return base, [
         base[:, i % d] * base[:, (i + 1) % d] + float(i) for i in range(n)
     ]
+
+
+def _accept_first(space, agent_index):
+    """Accept the first generable feature of ``agent_index``."""
+    for action in range(space.n_actions):
+        feature = space.generate(agent_index, action)
+        if feature is not None and space.accept(agent_index, feature):
+            return
+    raise AssertionError("no acceptable feature")
 
 
 class TestFingerprint:
@@ -52,7 +62,7 @@ class TestMemoization:
     def test_cached_score_bit_identical_to_uncached(self):
         task = make_classification(n_samples=80, n_features=4, seed=0)
         reference = _evaluator().evaluate(task.X.to_array(), task.y)
-        service = EvaluationService(_evaluator(), cache=EvaluationCache())
+        service = EvaluationService(_evaluator(), cache=MemoryBackend())
         first = service.evaluate(task.X.to_array(), task.y)
         second = service.evaluate(task.X.to_array(), task.y)
         assert first == reference
@@ -65,7 +75,7 @@ class TestMemoization:
         base, columns = _candidates(task, n=1)
         trial = np.column_stack([base, columns[0]])
         reference = _evaluator().evaluate(trial, task.y)
-        service = EvaluationService(_evaluator(), cache=EvaluationCache())
+        service = EvaluationService(_evaluator(), cache=MemoryBackend())
         token = service.token(base)
         score = service.evaluate(
             trial, task.y, base_token=token, column=columns[0]
@@ -86,7 +96,7 @@ class TestMemoization:
         base = task.X.to_array()
         column = np.linspace(0.0, 1.0, 80)
         shifted = column + 1e-9
-        service = EvaluationService(_evaluator(), cache=EvaluationCache())
+        service = EvaluationService(_evaluator(), cache=MemoryBackend())
         service.score_batch(base, [column, shifted], task.y)
         assert service.evaluator.n_evaluations == 2
         assert service.stats.n_near_duplicates == 1
@@ -103,7 +113,7 @@ class TestMemoization:
         task = make_classification(n_samples=80, n_features=4, seed=3)
         base, columns = _candidates(task, n=1)
         other_base = base[:, ::-1].copy()
-        service = EvaluationService(_evaluator(), cache=EvaluationCache())
+        service = EvaluationService(_evaluator(), cache=MemoryBackend())
         a = service.score_batch(base, columns, task.y)[0]
         b = service.score_batch(other_base, columns, task.y)[0]
         assert service.evaluator.n_evaluations == 2
@@ -112,7 +122,7 @@ class TestMemoization:
     def test_regression_task_supported(self):
         task = make_regression(n_samples=80, n_features=4, seed=4)
         reference = _evaluator("R").evaluate(task.X.to_array(), task.y)
-        service = EvaluationService(_evaluator("R"), cache=EvaluationCache())
+        service = EvaluationService(_evaluator("R"), cache=MemoryBackend())
         assert service.evaluate(task.X.to_array(), task.y) == reference
 
 
@@ -125,7 +135,7 @@ class TestScoreBatch:
             reference_eval.evaluate(np.column_stack([base, c]), task.y)
             for c in columns
         ]
-        service = EvaluationService(_evaluator(), cache=EvaluationCache())
+        service = EvaluationService(_evaluator(), cache=MemoryBackend())
         scores = service.score_batch(base, columns, task.y)
         assert scores == reference
 
@@ -133,7 +143,7 @@ class TestScoreBatch:
         task = make_classification(n_samples=90, n_features=4, seed=6)
         base, columns = _candidates(task, n=2)
         duplicated = [columns[0], columns[1], columns[0], columns[1]]
-        service = EvaluationService(_evaluator(), cache=EvaluationCache())
+        service = EvaluationService(_evaluator(), cache=MemoryBackend())
         scores = service.score_batch(base, duplicated, task.y)
         assert scores[0] == scores[2]
         assert scores[1] == scores[3]
@@ -142,7 +152,7 @@ class TestScoreBatch:
 
     def test_empty_batch(self):
         task = make_classification(n_samples=60, n_features=4, seed=7)
-        service = EvaluationService(_evaluator(), cache=EvaluationCache())
+        service = EvaluationService(_evaluator(), cache=MemoryBackend())
         assert service.score_batch(task.X.to_array(), [], task.y) == []
 
     def test_unknown_backend_rejected(self):
@@ -158,7 +168,7 @@ class TestStreaming:
         base, columns = _candidates(task)
         reference = EvaluationService(_evaluator(), cache=None)
         expected = reference.score_batch(base, columns[:1], task.y)
-        service = EvaluationService(_evaluator(), cache=EvaluationCache())
+        service = EvaluationService(_evaluator(), cache=MemoryBackend())
         stream = service.iter_scores_async(base, columns, task.y)
         assert next(stream) == expected[0]
         stream.close()
@@ -170,8 +180,8 @@ class TestStreaming:
         task = make_classification(n_samples=90, n_features=4, seed=6)
         base, columns = _candidates(task)
         columns = columns + [columns[0]]  # one in-batch duplicate
-        batch = EvaluationService(_evaluator(), cache=EvaluationCache())
-        stream = EvaluationService(_evaluator(), cache=EvaluationCache())
+        batch = EvaluationService(_evaluator(), cache=MemoryBackend())
+        stream = EvaluationService(_evaluator(), cache=MemoryBackend())
         expected = batch.score_batch(base, columns, task.y)
         assert list(stream.iter_scores_async(base, columns, task.y)) == expected
         for service in (batch, stream):
@@ -179,11 +189,34 @@ class TestStreaming:
             assert service.stats.n_cache_misses == len(columns) - 1
             assert service.evaluator.n_evaluations == len(columns) - 1
 
+    def test_lazy_future_fits_the_base_it_was_submitted_on(self):
+        task = make_classification(n_samples=90, n_features=4, seed=5)
+        space = FeatureSpace(task, seed=0)
+        _accept_first(space, 0)
+        submitted = space.feature_matrix()
+        base = submitted.copy()
+        column = base[:, 0] * base[:, 1] + 1.0
+        service = EvaluationService(_evaluator(), cache=MemoryBackend())
+        (future,) = service.submit_batch(
+            submitted, [column], task.y, base_token=space.matrix_token()
+        )
+        # A second member of group 0 shifts the later groups' columns.
+        _accept_first(space, 0)
+        space.feature_matrix()
+        expected = _evaluator().evaluate(
+            np.column_stack([base, column]), task.y
+        )
+        assert future.result() == expected
+        # ...and the score is stored under the submitted base's key.
+        assert service.score_batch(base, [column], task.y) == [expected]
+        assert service.stats.n_cache_hits == 1
+        assert service.evaluator.n_evaluations == 1
+
 
 class TestSharedCache:
     def test_cache_shared_across_services(self):
         task = make_classification(n_samples=80, n_features=4, seed=9)
-        cache = EvaluationCache()
+        cache = MemoryBackend()
         first = EvaluationService(_evaluator(), cache=cache)
         second = EvaluationService(_evaluator(), cache=cache)
         a = first.evaluate(task.X.to_array(), task.y)
@@ -194,7 +227,7 @@ class TestSharedCache:
 
     def test_different_evaluator_params_never_share_entries(self):
         task = make_classification(n_samples=80, n_features=4, seed=9)
-        cache = EvaluationCache()
+        cache = MemoryBackend()
         first = EvaluationService(_evaluator(seed=0), cache=cache)
         second = EvaluationService(_evaluator(seed=1), cache=cache)
         first.evaluate(task.X.to_array(), task.y)
@@ -203,7 +236,7 @@ class TestSharedCache:
         assert len(cache) == 2
 
     def test_eviction_bounds_entries(self):
-        cache = EvaluationCache(max_entries=3)
+        cache = MemoryBackend(max_entries=3)
         for i in range(10):
             cache.put(f"key{i}", float(i))
         assert len(cache) == 3

@@ -12,12 +12,12 @@ from repro.core.evaluation import DownstreamEvaluator
 from repro.core.filters import RandomFilter
 from repro.datasets import make_classification
 from repro.eval import (
-    EvaluationCache,
     EvaluationService,
     PoolExecutor,
     validate_eval_workers,
 )
 from repro.eval.fingerprint import content_digest
+from repro.store import MemoryBackend
 
 
 def _evaluator(seed=0):
@@ -91,7 +91,7 @@ class TestServiceSpeculation:
         serial = EvaluationService(_evaluator(), cache=None, backend="serial")
         expected = serial.score_batch(base, columns[:3], task.y)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=2
         )
         with service:
             futures = service.submit_batch(
@@ -113,7 +113,7 @@ class TestServiceSpeculation:
     def test_discard_cancels_undispatched_without_paying_fits(self):
         task, base, columns = _workload(n=7, seed=22)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=1
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=1
         )
         with service:
             # Freeze the worker: four confirmed fits saturate the
@@ -144,7 +144,7 @@ class TestServiceSpeculation:
         serial = EvaluationService(_evaluator(), cache=None, backend="serial")
         expected = serial.score_batch(base, columns[:2], task.y)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=2
         )
         with service:
             executor = service._ensure_executor()
@@ -169,7 +169,7 @@ class TestCrashWithSpeculationInFlight:
         expected_confirmed = serial.score_batch(base, columns[:3], task.y)
         expected_spec = serial.score_batch(base, columns[3:], task.y)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool", n_workers=2
+            _evaluator(), cache=MemoryBackend(), backend="pool", n_workers=2
         )
         with service:
             executor = service._ensure_executor()

@@ -14,8 +14,9 @@ from repro.chaos import FaultPlan
 from repro.core import EngineConfig
 from repro.core.evaluation import DownstreamEvaluator
 from repro.datasets import make_classification
-from repro.eval import EvaluationCache, EvaluationService, TaskLost
+from repro.eval import EvaluationService, TaskLost
 from repro.eval.executor import TaskTimeout
+from repro.store import MemoryBackend
 
 #: Read by the bench harness alone (``bench_config``), never the library.
 EVAL_TIMEOUT_ENV = "REPRO_EVAL_TIMEOUT"
@@ -127,7 +128,7 @@ class TestDeadlineEnforcement:
         # path has no pool.fit site, so the batch completes exactly.
         chaos.install(FaultPlan.parse("pool.fit:hang=1.0:secs=60"))
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool",
+            _evaluator(), cache=MemoryBackend(), backend="pool",
             n_workers=2, timeout=0.5,
         )
         with service:
@@ -142,7 +143,7 @@ class TestDeadlineEnforcement:
     def test_no_timeout_means_no_deadline(self):
         task, base, columns = _workload(n=2)
         service = EvaluationService(
-            _evaluator(), cache=EvaluationCache(), backend="pool",
+            _evaluator(), cache=MemoryBackend(), backend="pool",
             n_workers=2,
         )
         with service:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.eval import subsample_fold_plan
 from repro.fidelity import FidelityLadder, FidelitySpec
+from repro.fidelity.ladder import subsample_fold_plan
 from repro.ml.model_selection import plan_folds
 
 

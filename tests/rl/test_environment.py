@@ -128,3 +128,79 @@ class TestAcceptAndViews:
         space.accept(0, feature)
         clone = GeneratedFeature(feature.name, feature.values, order=2)
         assert not space.accept(0, clone)
+
+
+def _first_feature(space, agent_index, start=0):
+    """The first generable feature of ``agent_index`` from ``start`` on."""
+    for action in range(start, space.n_actions):
+        feature = space.generate(agent_index, action)
+        if feature is not None:
+            return action, feature
+    raise AssertionError("no generable feature")
+
+
+def _legacy_matrix(space):
+    return np.column_stack(
+        [f.values for g in space.subgroups for f in g.members]
+    )
+
+
+class TestDesignMatrix:
+    def test_feature_matrix_matches_legacy_column_stack(self):
+        space = _space()
+        np.testing.assert_array_equal(
+            space.feature_matrix(), _legacy_matrix(space)
+        )
+
+    def test_trial_matrix_matches_legacy_column_stack(self):
+        space = _space()
+        _, feature = _first_feature(space, 0)
+        expected = np.column_stack([space.feature_matrix(), feature.values])
+        np.testing.assert_array_equal(
+            space.trial_matrix(feature.values), expected
+        )
+
+    def test_accept_invalidates_and_rebuilds(self):
+        task = make_classification(n_samples=60, n_features=4, seed=1)
+        space = FeatureSpace(task, seed=1)
+        before = space.feature_matrix().shape[1]
+        token_before = space.matrix_token()
+        _, feature = _first_feature(space, 1)
+        assert space.accept(1, feature)
+        after = space.feature_matrix()
+        assert after.shape[1] == before + 1
+        assert space.matrix_token() != token_before
+        np.testing.assert_array_equal(after, _legacy_matrix(space))
+
+    def test_token_stable_per_version(self):
+        space = _space()
+        assert space.matrix_token() == space.matrix_token()
+
+    def test_handed_out_matrices_are_read_only(self):
+        space = _space()
+        _, feature = _first_feature(space, 0)
+        with pytest.raises(ValueError):
+            space.feature_matrix()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            space.trial_matrix(feature.values)[0, 0] = 1.0
+
+    def test_held_feature_matrix_survives_accept_and_rebuild(self):
+        space = _space()
+        action, first = _first_feature(space, 0)
+        assert space.accept(0, first)
+        held = space.feature_matrix()
+        copy = held.copy()
+        # A second member of group 0 shifts every later group's columns.
+        _, second = _first_feature(space, 0, start=action + 1)
+        assert space.accept(0, second)
+        space.feature_matrix()
+        np.testing.assert_array_equal(held, copy)
+
+    def test_held_trial_matrix_survives_next_trial(self):
+        space = _space()
+        action, first = _first_feature(space, 0)
+        _, second = _first_feature(space, 0, start=action + 1)
+        held = space.trial_matrix(first.values)
+        copy = held.copy()
+        space.trial_matrix(second.values)
+        np.testing.assert_array_equal(held, copy)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.eval import EvaluationCache
 from repro.store import (
     MemoryBackend,
     SqliteBackend,
@@ -29,10 +28,6 @@ class TestMemoryBackend:
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             MemoryBackend(max_entries=0)
-
-    def test_evaluation_cache_is_memory_backend(self):
-        # Back-compat: the PR-1 name still constructs the same store.
-        assert EvaluationCache is MemoryBackend
 
 
 class TestSqliteBackend:
