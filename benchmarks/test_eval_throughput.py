@@ -122,7 +122,7 @@ def _sweep_workload():
     Every sweep scores ``SWEEP_CANDIDATES`` distinct candidates; every
     ``ACCEPT_EVERY``-th sweep "accepts" a feature, so the base-matrix
     token changes at realistic acceptance boundaries — often enough to
-    exercise per-sweep serialization and speculation rollback, sparse
+    exercise per-sweep serialization and speculative discards, sparse
     enough that cross-sweep speculation usually commits (engines
     accept on a minority of sweeps).
     """
@@ -195,10 +195,11 @@ def _measure_pool_speculative(task, sweeps) -> dict:
     Sweep ``i+1``'s generation work and submission happen while sweep
     ``i``'s fits are still in flight.  When the base matrix survives
     the sweep the speculation is committed and consumed directly; at
-    acceptance boundaries it is discarded (undispatched tasks are
-    retracted for free) and the sweep is regenerated against the new
-    base — the same commit/rollback contract ``AFEEngine._stage2``
-    follows.
+    acceptance boundaries its futures are discarded (undispatched tasks
+    are retracted for free) and the same columns are resubmitted
+    against the new base with no second generation pass — the same
+    commit/discard contract ``AFEEngine._stage2`` follows, which keeps
+    the sweep it generated.
     """
     service = _eval_service("pool")
     y = task.y
@@ -213,8 +214,11 @@ def _measure_pool_speculative(task, sweeps) -> dict:
                 service.commit_speculative(futures)
             else:
                 if spec_futures is not None:
+                    # The sweep was generated behind the previous fits;
+                    # only its futures are stale.
                     service.discard_speculative(spec_futures)
-                _generation_work(task.n_samples)  # regenerate after rollback
+                else:
+                    _generation_work(task.n_samples)  # nothing speculated
                 futures = service.submit_batch(base, columns, y)
             spec_futures = None
             spec_base = None

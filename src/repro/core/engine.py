@@ -78,7 +78,7 @@ class EngineConfig:
     # (SQLite file; None: a per-process in-memory cache)
     eval_speculation: bool = True  # pipeline the next agent's sweep
     # behind the in-flight one ("pool" backend only; trajectories stay
-    # bit-identical to serial — mispredictions are rolled back)
+    # bit-identical to serial — mispredicted scores are discarded)
     eval_fidelity: str = "off"  # multi-fidelity spec, e.g.
     # "ladder", "surrogate", "ladder+surrogate:promote=0.25,rows=0.5"
     # (see repro.fidelity.FidelitySpec).  "off" keeps scoring exactly
@@ -290,17 +290,11 @@ class _SweepPlan:
     ``steps`` are the sweep's trajectory entries (blocked and filtered
     candidates already carry their -thre reward); ``pending`` holds the
     candidates that survived the filter as ``(slot, state, action,
-    feature)`` where ``slot`` indexes into ``steps``.  The plan keeps
-    its own generation counters so a speculated-then-discarded sweep
-    never leaks into the run accounting — counters merge into the
-    result only when the plan is actually consumed.
+    feature)`` where ``slot`` indexes into ``steps``.
     """
 
-    agent_index: int
     steps: list[TrajectoryStep] = field(default_factory=list)
     pending: list[tuple] = field(default_factory=list)
-    n_generated: int = 0
-    n_filtered_out: int = 0
 
 
 @dataclass
@@ -490,12 +484,12 @@ class AFEEngine:
     ) -> _SweepPlan:
         """Act/generate one agent sweep, then filter it in one batch.
 
-        Pure with respect to the run accounting except for
-        ``generation_time`` (real wall time is charged even when the
-        sweep was speculative and later regenerated); ``n_generated`` /
-        ``n_filtered_out`` live on the plan until it is consumed.
+        Every sweep is generated exactly once and always consumed (a
+        speculative sweep is kept across acceptances, see
+        :meth:`_stage2`), so ``generation_time``, ``n_generated`` and
+        ``n_filtered_out`` are charged to ``result`` here.
         """
-        plan = _SweepPlan(agent_index=agent_index)
+        plan = _SweepPlan()
         generated: list[tuple] = []
         for _ in range(self.config.transforms_per_agent):
             state = space.state_vector(agent_index)
@@ -508,7 +502,7 @@ class AFEEngine:
                     TrajectoryStep(agent_index, state, action, -self.config.thre)
                 )
                 continue
-            plan.n_generated += 1
+            result.n_generated += 1
             plan.steps.append(TrajectoryStep(agent_index, state, action, 0.0))
             generated.append((len(plan.steps) - 1, state, action, feature))
         # Filter the sweep in one batch (one vectorized FPE inference);
@@ -522,76 +516,11 @@ class AFEEngine:
                 if kept:
                     plan.pending.append((slot, state, action, feature))
                     continue
-                plan.n_filtered_out += 1
+                result.n_filtered_out += 1
                 plan.steps[slot] = TrajectoryStep(
                     agent_index, state, action, -self.config.thre
                 )
         return plan
-
-    def _speculate(
-        self,
-        space: FeatureSpace,
-        controller: MultiAgentController,
-        service: EvaluationService,
-        task: TabularTask,
-        agent_index: int,
-        base_token: str,
-        result: AFEResult,
-    ) -> dict:
-        """Generate agent ``agent_index``'s sweep ahead of its turn.
-
-        Called while the previous agent's batch is in flight on the
-        pool: snapshots every RNG the generation pass draws from
-        (controller, operand sampler, stateful filters), generates and
-        filters the sweep against the current accepted-feature state,
-        and submits the survivors speculatively — low priority, behind
-        the in-flight confirmed batch.  If the previous sweep ends
-        without an acceptance the speculation *is* the next sweep; if
-        the base matrix changes, :meth:`_rollback_speculation` rewinds
-        the snapshots so regeneration replays the identical draws.
-        """
-        snapshot = {
-            "controller": controller.snapshot(),
-            "space_rng": space.rng_snapshot(),
-            "filter": self.filter.state_snapshot(),
-        }
-        plan = self._generate_sweep(space, controller, agent_index, result)
-        futures = service.submit_batch(
-            space.feature_matrix(),
-            [feature.values for _, _, _, feature in plan.pending],
-            task.y,
-            base_token=base_token,
-            speculative=True,
-        )
-        return {
-            "agent_index": agent_index,
-            "plan": plan,
-            "futures": futures,
-            "base_token": base_token,
-            "snapshot": snapshot,
-        }
-
-    def _rollback_speculation(
-        self,
-        spec: dict,
-        space: FeatureSpace,
-        controller: MultiAgentController,
-        service: EvaluationService,
-    ) -> None:
-        """Invalidate a speculation: an acceptance changed the base.
-
-        Restores the controller / operand-RNG / filter snapshots taken
-        before the speculative generation pass — the re-run draws the
-        identical random sequence, so trajectories stay bit-identical
-        to a run that never speculated — and hands the in-flight
-        futures to the service's discard machinery (undispatched pool
-        tasks are cancelled for free; running fits drain into the
-        cache).
-        """
-        controller.restore(spec["snapshot"]["controller"])
-        space.rng_restore(spec["snapshot"]["space_rng"])
-        self.filter.state_restore(spec["snapshot"]["filter"])
-        service.discard_speculative(spec["futures"])
 
     def _stage2(
         self,
@@ -625,20 +554,29 @@ class AFEEngine:
 
         On top of that, the pool backend pipelines *across* sweep
         boundaries: the moment agent k's batch is submitted, agent
-        k+1's generation and filtering run against the current state
-        and its survivors are queued speculatively behind the in-flight
-        batch (low priority — confirmed work dispatches first).  If
-        agent k's sweep ends without an acceptance, the speculation
-        simply *is* agent k+1's sweep; if an acceptance changes the
-        base matrix, the controller / operand-sampler / filter RNGs are
-        rewound to their pre-speculation snapshots and the sweep is
-        regenerated — the replayed draws are identical, so trajectories
-        stay bit-identical to a run with ``eval_speculation=False`` (and
-        to the serial backend).  The waste is bounded and reported:
-        ``AFEResult.n_speculative_discarded`` counts invalidated
-        speculative fits.  One deliberate deviation
-        from a fully sequential loop remains: a sweep's actions are all
-        selected (and candidates generated) before any is scored, so
+        k+1's sweep is generated and filtered and its survivors are
+        queued speculatively behind the in-flight batch (low priority —
+        confirmed work dispatches first).  If agent k's turn ends
+        without an acceptance, the in-flight speculation simply *is*
+        agent k+1's batch.  An acceptance discards those futures
+        (``AFEResult.n_speculative_discarded`` counts them) but keeps
+        the sweep: the next re-issue submits its survivors again
+        against the new base, or agent k+1's turn submits them.
+
+        The kept sweep is the one agent k+1 would generate at its own
+        turn.  A sweep reads only its agent's subgroup, last reward,
+        policy and sampling RNG, plus the shared operand and filter
+        RNGs.  Agent k's turn, after its sweep is generated, only
+        scores, records agent k's reward and accepts into agent k's
+        subgroup, none of which a sweep reads or which draws from an
+        RNG.  So sweeps draw the shared RNGs in agent order whether
+        or not the pool speculates, and trajectories stay bit-identical
+        to a run with ``eval_speculation=False`` (and to the serial
+        backend).
+
+        One deliberate deviation from a fully sequential loop remains:
+        a sweep's actions are all selected (and candidates generated)
+        before any is scored, so
         same-sweep rewards and acceptances are not yet visible to
         ``controller.act`` / ``space.generate`` — the price of making
         downstream fits batchable, and why per-seed trajectories differ
@@ -697,36 +635,27 @@ class AFEEngine:
             and service.backend == "pool"
             and service.fidelity is None
         )
-        spec: dict | None = None
+        # Agent k+1's sweep, generated during agent k's turn, and its
+        # survivors' speculative futures against the current base
+        # (None once an acceptance has discarded them).
+        next_plan: _SweepPlan | None = None
+        next_futures: list | None = None
         for epoch in range(self.config.n_epochs):
             best_before_epoch = best_score
             controller.reset_episode()
             steps: list[TrajectoryStep] = []
             for agent_index in range(space.n_agents):
-                committed: list | None = None
-                if spec is not None and spec["agent_index"] == agent_index:
-                    if spec["base_token"] == space.matrix_token():
-                        # The speculation held: its generated sweep and
-                        # in-flight scores become this agent's turn.
-                        plan = spec["plan"]
-                        committed = spec["futures"]
-                        service.commit_speculative(committed)
-                    else:
-                        # Base moved without a rollback — no code path
-                        # does this today; regenerate defensively.
-                        self._rollback_speculation(
-                            spec, space, controller, service
-                        )
-                        plan = self._generate_sweep(
-                            space, controller, agent_index, result
-                        )
-                    spec = None
-                else:
+                plan = next_plan
+                if plan is None:
                     plan = self._generate_sweep(
                         space, controller, agent_index, result
                     )
-                result.n_generated += plan.n_generated
-                result.n_filtered_out += plan.n_filtered_out
+                # Live futures were submitted against the current base:
+                # their in-flight scores become this agent's first batch.
+                committed = next_futures
+                if committed is not None:
+                    service.commit_speculative(committed)
+                next_plan = next_futures = None
                 queue = plan.pending
                 while queue:
                     base = space.feature_matrix()
@@ -742,23 +671,25 @@ class AFEEngine:
                             task.y,
                             base_token=base_token,
                         )
-                    # With the batch in flight, run the *next* agent's
-                    # generation + filtering now and queue its
-                    # survivors speculatively behind it — the pool
-                    # stays hot across the sweep boundary.
+                    # With the batch in flight, queue the *next* agent's
+                    # survivors speculatively behind it — the pool stays
+                    # hot across the sweep boundary.  Its sweep is
+                    # generated on the first pass and kept after that.
                     if (
                         speculate
-                        and spec is None
+                        and next_futures is None
                         and agent_index + 1 < space.n_agents
                     ):
-                        spec = self._speculate(
-                            space,
-                            controller,
-                            service,
-                            task,
-                            agent_index + 1,
-                            base_token,
-                            result,
+                        if next_plan is None:
+                            next_plan = self._generate_sweep(
+                                space, controller, agent_index + 1, result
+                            )
+                        next_futures = service.submit_batch(
+                            base,
+                            [entry[3].values for entry in next_plan.pending],
+                            task.y,
+                            base_token=base_token,
+                            speculative=True,
                         )
                     accepted_at = None
                     for index, (
@@ -782,16 +713,13 @@ class AFEEngine:
                             break
                     if accepted_at is None:
                         break
-                    # The acceptance changed the base matrix: whatever
-                    # was speculated against the old base is invalid.
-                    # Rewind the RNG snapshots and discard the futures;
-                    # the next pass re-issues the remainder and
-                    # re-speculates against the new base.
-                    if spec is not None:
-                        self._rollback_speculation(
-                            spec, space, controller, service
-                        )
-                        spec = None
+                    # The acceptance changed the base matrix: the next
+                    # agent's futures were scored against the old one.
+                    # Its sweep stays; the next pass re-issues the
+                    # remainder and re-speculates against the new base.
+                    if next_futures is not None:
+                        service.discard_speculative(next_futures)
+                        next_futures = None
                     queue = queue[accepted_at + 1 :]
                 steps.extend(plan.steps)
             if steps:

@@ -44,18 +44,6 @@ class CandidateFilter:
             return np.zeros(0, dtype=bool)
         return self.proba_batch(columns) >= 0.5
 
-    def state_snapshot(self) -> object | None:
-        """Mutable filter state, for speculative filtering + rollback.
-
-        Stateless filters (FPE, keep-all) return ``None``; stateful
-        ones (:class:`RandomFilter`'s RNG) return whatever
-        :meth:`state_restore` needs to replay their decisions exactly.
-        """
-        return None
-
-    def state_restore(self, state: object | None) -> None:
-        """Rewind to a :meth:`state_snapshot` (no-op when stateless)."""
-
 
 class FPEFilter(CandidateFilter):
     """Filter by the pre-trained feature-validness classifier."""
@@ -97,13 +85,6 @@ class RandomFilter(CandidateFilter):
     def proba(self, column: np.ndarray) -> float:
         # A fresh draw per candidate: 1.0 keeps, 0.0 drops.
         return 1.0 if self._rng.random() < self.keep_rate else 0.0
-
-    def state_snapshot(self) -> object:
-        return self._rng.bit_generator.state
-
-    def state_restore(self, state: object | None) -> None:
-        if state is not None:
-            self._rng.bit_generator.state = state
 
 
 class KeepAllFilter(CandidateFilter):

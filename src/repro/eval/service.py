@@ -84,7 +84,7 @@ class EvalStats:
     on every entry point; an in-batch duplicate is a hit with a cache
     and a miss without one.
     Every speculation is later either committed or
-    rolled back, so ``n_speculative_submitted == n_speculative_used +
+    discarded, so ``n_speculative_submitted == n_speculative_used +
     n_speculative_discarded`` at the end of a run.
     """
 

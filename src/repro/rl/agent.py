@@ -148,7 +148,8 @@ class RecurrentPolicyAgent:
         Covers the weights, the carried distribution ``h``, the Adam
         moments, and the sampling RNG — restoring the snapshot makes
         the agent replay the exact action sequence it would have
-        produced from the snapshot point.
+        produced from the snapshot point.  Only
+        :meth:`MultiAgentController.snapshot` calls it.
         """
         return {
             "W": self._W.copy(),

@@ -112,9 +112,11 @@ class FeatureSpace:
         """State of the shared operand-sampling RNG.
 
         Generation is the only environment transition that draws from
-        the RNG (acceptance and reward recording do not), so snapshot +
-        :meth:`rng_restore` around a speculative generation pass makes
-        a re-run draw the identical operand sequence.
+        the RNG (acceptance and reward recording do not), so
+        :meth:`rng_restore` to a snapshot makes a re-run draw the
+        identical operand sequence.  No search path calls it: agents
+        draw from this RNG in agent order, and the engine's speculation
+        keeps the sweep it generated instead of rewinding.
         """
         return self.rng.bit_generator.state
 

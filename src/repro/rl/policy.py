@@ -71,10 +71,11 @@ class MultiAgentController:
         """Deep copy of the whole controller state.
 
         Captures every agent (weights, carried distribution, optimizer
-        moments, sampling RNG) plus the shared reward baseline.  Used
-        by the engine's speculative cross-agent pipeline: acting
-        speculatively and then :meth:`restore`-ing replays the exact
-        trajectory a non-speculative run would have produced.
+        moments, sampling RNG) plus the shared reward baseline, so
+        :meth:`restore`-ing it replays the exact actions the controller
+        would have produced from the snapshot point.  No search path
+        calls it: the engine's speculation keeps the sweep it
+        generated instead of rewinding.
         """
         return {
             "agents": [agent.state_snapshot() for agent in self.agents],

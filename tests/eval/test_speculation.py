@@ -7,16 +7,18 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.engine import AFEEngine, EngineConfig
+from repro.core.engine import EngineConfig
 from repro.core.evaluation import DownstreamEvaluator
-from repro.core.filters import RandomFilter
-from repro.datasets import make_classification
+from repro.core.filters import CandidateFilter
+from repro.core.variants import make_variant
+from repro.datasets import load, make_classification
 from repro.eval import (
     EvaluationService,
     PoolExecutor,
     validate_eval_workers,
 )
 from repro.eval.fingerprint import content_digest
+from repro.rl.environment import FeatureSpace
 from repro.store import MemoryBackend
 
 
@@ -217,29 +219,48 @@ class TestWorkerValidation:
 
 
 class TestEngineSpeculation:
-    def test_bit_identical_to_serial_with_stateful_filter(self):
-        task = make_classification(n_samples=80, n_features=4, seed=6)
+    def test_bit_identical_to_serial_with_stateful_filter(self, monkeypatch):
+        # Bench quick scale with four transforms per agent: the pool
+        # speculation is discarded by acceptances here, so a kept sweep
+        # has to draw E-AFE_D's stateful filter RNG in agent order.
+        task = load("PimaIndian", max_samples=250, max_features=8)
+        counts = {}
+        generate = FeatureSpace.generate
+        keep_batch = CandidateFilter.keep_batch
+
+        def counted_generate(self, *args):
+            counts["generate"] += 1
+            return generate(self, *args)
+
+        def counted_keep_batch(self, columns):
+            counts["filtered"] += len(columns)
+            return keep_batch(self, columns)
+
+        monkeypatch.setattr(FeatureSpace, "generate", counted_generate)
+        monkeypatch.setattr(CandidateFilter, "keep_batch", counted_keep_batch)
 
         def run(backend, speculation):
             config = EngineConfig(
                 n_epochs=3,
-                stage1_epochs=1,
-                transforms_per_agent=3,
+                stage1_epochs=2,
+                transforms_per_agent=4,
                 n_splits=3,
-                n_estimators=3,
-                seed=1,
+                n_estimators=5,
+                max_agents=6,
+                seed=0,
                 eval_backend=backend,
                 eval_workers=2 if backend == "pool" else None,
                 eval_speculation=speculation,
             )
-            # A stateful filter exercises the filter-RNG rollback path.
-            return AFEEngine(
-                RandomFilter(keep_rate=0.7, seed=5), config
-            ).fit(task)
+            counts.update(generate=0, filtered=0)
+            result = make_variant("E-AFE_D", config).fit(task)
+            return result, dict(counts)
 
-        serial = run("serial", True)
-        pool_on = run("pool", True)
-        pool_off = run("pool", False)
+        serial, serial_counts = run("serial", True)
+        pool_on, pool_on_counts = run("pool", True)
+        pool_off, pool_off_counts = run("pool", False)
+        # Every sweep is generated and filtered once, speculative or not.
+        assert pool_on_counts == pool_off_counts == serial_counts
         for pool in (pool_on, pool_off):
             assert pool.best_score == serial.best_score
             assert pool.selected_features == serial.selected_features
@@ -250,6 +271,7 @@ class TestEngineSpeculation:
             assert pool.n_generated == serial.n_generated
             assert pool.n_filtered_out == serial.n_filtered_out
         assert pool_on.n_speculative_submitted > 0
+        assert pool_on.n_speculative_discarded > 0
         assert pool_on.n_speculative_submitted == (
             pool_on.n_speculative_used + pool_on.n_speculative_discarded
         )

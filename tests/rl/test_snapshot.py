@@ -1,9 +1,8 @@
-"""Snapshot/restore of every RNG the speculative pipeline rewinds."""
+"""Snapshot/restore of the controller and the operand-sampling RNG."""
 
 import numpy as np
 import pytest
 
-from repro.core.filters import KeepAllFilter, RandomFilter
 from repro.datasets import make_classification
 from repro.rl.environment import FeatureSpace
 from repro.rl.policy import MultiAgentController, TrajectoryStep
@@ -40,7 +39,7 @@ class TestControllerSnapshot:
         snapshot = controller.snapshot()
         reference = [controller.act(0, state) for state in states]
         controller.restore(snapshot)
-        # A speculative pass that acted *and* learned before rollback.
+        # A pass that acted *and* learned before the restore.
         steps = [
             TrajectoryStep(0, states[0], controller.act(0, states[0]), 0.5),
             TrajectoryStep(1, states[1], controller.act(1, states[1]), -0.2),
@@ -56,7 +55,7 @@ class TestControllerSnapshot:
             [TrajectoryStep(0, np.ones(6), 1, 1.0)]
         )
         # Mutating the controller after the fact must not corrupt the
-        # snapshot that a pending rollback still depends on.
+        # snapshot that a pending restore still depends on.
         fresh = _controller()
         fresh.restore(snapshot)
         states = _states(6, seed=2)
@@ -94,19 +93,3 @@ class TestSpaceRngSnapshot:
             )
         ]
         assert first == second
-
-
-class TestFilterSnapshot:
-    def test_random_filter_round_trip(self):
-        candidate = np.arange(5, dtype=np.float64)
-        filt = RandomFilter(keep_rate=0.5, seed=3)
-        snapshot = filt.state_snapshot()
-        first = [filt.keep(candidate) for _ in range(16)]
-        filt.state_restore(snapshot)
-        assert [filt.keep(candidate) for _ in range(16)] == first
-
-    def test_stateless_filters_snapshot_none(self):
-        filt = KeepAllFilter()
-        assert filt.state_snapshot() is None
-        filt.state_restore(None)  # no-op, no error
-        assert filt.proba(np.zeros(3)) == 1.0
